@@ -1,0 +1,13 @@
+"""Make the program and the benchmark's modules importable in its tests.
+
+Run the tests with ``python3 -m pytest perfbench`` from the repository
+root.
+"""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+for path in (os.path.join(os.path.dirname(HERE), "src"), HERE):
+    if path not in sys.path:
+        sys.path.insert(0, path)
