@@ -22,7 +22,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.net.payload import PartitionValuesEvent
+from repro.net.payload import (
+    ConditionResolved,
+    PartitionValuesEvent,
+    Payload,
+    RecsfForward,
+)
 from repro.systems.carousel.coordinator import (
     CarouselCoordinator,
     CoordinatedTxn,
@@ -35,19 +40,19 @@ class NattoCoordinator(CarouselCoordinator):
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         #: txn -> queued RECSF forwards awaiting this txn's commit.
-        self._recsf_waiters: Dict[str, List[dict]] = {}
+        self._recsf_waiters: Dict[str, List[RecsfForward]] = {}
 
     # ------------------------------------------------------------------
     # Client messages
 
-    def handle_commit_request(self, payload: dict, src: str) -> None:
-        state = self.txn_state(payload["txn"])
-        state.client = payload["client"]
-        state.participants = payload["participants"]
-        state.writes = payload["writes"]
+    def handle_commit_request(self, payload: Payload, src: str) -> None:
+        state = self.txn_state(payload.txn)
+        state.client = payload.client
+        state.participants = payload.participants
+        state.writes = payload.writes
         # Natto addition: which read epoch each partition's write data
         # was computed from; re-sent commit requests overwrite it.
-        state.write_epochs = payload.get("epochs", {})
+        state.write_epochs = payload.epochs
         if state.decided is not None:
             return
         version = getattr(state, "writes_version", 0) + 1
@@ -65,40 +70,42 @@ class NattoCoordinator(CarouselCoordinator):
     # ------------------------------------------------------------------
     # Votes
 
-    def handle_vote(self, payload: dict, src: str) -> None:
-        state = self.txn_state(payload["txn"])
+    def handle_vote(self, payload: Payload, src: str) -> None:
+        state = self.txn_state(payload.txn)
         if state.client is None:
-            state.client = payload["client"]
+            state.client = payload.client
         if state.participants is None:
-            state.participants = payload["participants"]
+            state.participants = payload.participants
         if state.decided is not None:
             return
-        if payload["vote"] == "no":
+        if payload.vote == "no":
             self._decide(state, False)
             return
-        state.votes[payload["partition"]] = {
-            "epoch": payload.get("epoch", 0),
-            "firm": not payload.get("conditional"),
-            "conditional": payload.get("conditional"),
+        state.votes[payload.partition] = {
+            "epoch": payload.epoch,
+            "firm": not payload.conditional,
+            "conditional": payload.conditional,
         }
         self._try_decide(state)
 
-    def handle_condition_resolved(self, payload: dict, src: str) -> None:
-        state = self.txn_state(payload["txn"])
+    def handle_condition_resolved(
+        self, payload: ConditionResolved, src: str
+    ) -> None:
+        state = self.txn_state(payload.txn)
         if state.decided is not None:
             return
-        vote = state.votes.get(payload["partition"])
+        vote = state.votes.get(payload.partition)
         if vote is None or vote["firm"]:
             return
-        if payload["ok"]:
-            if vote["epoch"] == payload["epoch"]:
+        if payload.ok:
+            if vote["epoch"] == payload.epoch:
                 vote["firm"] = True
                 vote["conditional"] = None
                 self._try_decide(state)
         else:
             # Discard the conditional result; the participant's normal
             # path will vote again with a higher epoch.
-            del state.votes[payload["partition"]]
+            del state.votes[payload.partition]
 
     def _vote_ready(self, state: CoordinatedTxn, partition: int) -> bool:
         vote = state.votes.get(partition)
@@ -110,14 +117,14 @@ class NattoCoordinator(CarouselCoordinator):
     # ------------------------------------------------------------------
     # RECSF
 
-    def handle_recsf_forward(self, payload: dict, src: str) -> None:
-        state = self.txns.get(payload["txn"])
+    def handle_recsf_forward(self, payload: RecsfForward, src: str) -> None:
+        state = self.txns.get(payload.txn)
         if state is not None and state.decided is True:
             self._serve_recsf(state, payload)
             return
         if state is not None and state.decided is False:
             return  # the blocker aborted; the normal path will serve
-        self._recsf_waiters.setdefault(payload["txn"], []).append(payload)
+        self._recsf_waiters.setdefault(payload.txn, []).append(payload)
 
     def _on_decided(self, state: CoordinatedTxn) -> None:
         waiters = self._recsf_waiters.pop(state.txn, [])
@@ -125,18 +132,20 @@ class NattoCoordinator(CarouselCoordinator):
             for payload in waiters:
                 self._serve_recsf(state, payload)
 
-    def _serve_recsf(self, state: CoordinatedTxn, payload: dict) -> None:
+    def _serve_recsf(
+        self, state: CoordinatedTxn, payload: RecsfForward
+    ) -> None:
         writes = state.writes or {}
         values = {
-            key: writes[key] for key in payload["keys"] if key in writes
+            key: writes[key] for key in payload.keys if key in writes
         }
         if not values:
             return
         self._network.send(
             self,
-            payload["reader_client"],
+            payload.reader_client,
             "txn_event",
             PartitionValuesEvent(
-                payload["reader"], "recsf_reads", payload["partition"], values
+                payload.reader, "recsf_reads", payload.partition, values
             ),
         )

@@ -43,8 +43,10 @@ from repro.cluster.partition import Partitioner
 from repro.core.config import NattoConfig
 from repro.net.payload import (
     ConditionResolved,
+    NattoReadAndPrepare,
     NattoVoteYes,
     PartitionValuesEvent,
+    Payload,
     ReadOkEpoch,
     ReadsEvent,
     RecsfForward,
@@ -217,31 +219,33 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
     # ------------------------------------------------------------------
     # Arrival
 
-    def handle_read_and_prepare(self, payload: dict, src: str) -> Future:
-        if payload["txn"] in self._abort_tombstones:
-            reason = self._abort_tombstones.pop(payload["txn"])
+    def handle_read_and_prepare(
+        self, payload: NattoReadAndPrepare, src: str
+    ) -> Future:
+        if payload.txn in self._abort_tombstones:
+            reason = self._abort_tombstones.pop(payload.txn)
             obs = self.sim.obs
             if obs.enabled:
-                obs.tracer.refuse(reason, node=self.name, txn=payload["txn"])
+                obs.tracer.refuse(reason, node=self.name, txn=payload.txn)
             reply = Future()
             reply.set_result(Refusal(reason_value(reason)))
             return reply
-        self._rap_seen.add(payload["txn"])
+        self._rap_seen.add(payload.txn)
         pid = self.partition_id()
         slices = self.partitioner.group_keys
         info = NattoTxn(
-            txn=payload["txn"],
-            ts=payload["ts"],
-            priority=Priority(payload["priority"]),
-            reads=slices(payload["full_reads"]).get(pid, []),
-            writes=slices(payload["full_writes"]).get(pid, []),
-            full_reads=payload["full_reads"],
-            full_writes=payload["full_writes"],
-            coordinator=payload["coordinator"],
-            client=payload["client"],
-            participants=payload["participants"],
-            arrival_estimates=payload["arrival_estimates"],
-            max_owd=payload["max_owd"],
+            txn=payload.txn,
+            ts=payload.ts,
+            priority=Priority(payload.priority),
+            reads=slices(payload.full_reads).get(pid, []),
+            writes=slices(payload.full_writes).get(pid, []),
+            full_reads=payload.full_reads,
+            full_writes=payload.full_writes,
+            coordinator=payload.coordinator,
+            client=payload.client,
+            participants=payload.participants,
+            arrival_estimates=payload.arrival_estimates,
+            max_owd=payload.max_owd,
             reply=Future(),
         )
         if self._late_violation(info):
@@ -659,18 +663,18 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
     # ------------------------------------------------------------------
     # Outcome
 
-    def handle_commit_txn(self, payload: dict, src: str) -> None:
-        txn = payload["txn"]
-        if not payload["decision"]:
+    def handle_commit_txn(self, payload: Payload, src: str) -> None:
+        txn = payload.txn
+        if not payload.decision:
             if txn not in self._rap_seen:
                 # The abort overtook the read-and-prepare; refuse it on
                 # arrival instead of leaving a stuck prepared mark.
-                self._abort_tombstones[txn] = payload.get("reason")
+                self._abort_tombstones[txn] = payload.reason
             self._resolve_conditions(txn, committed=False)
-            self._remove_everywhere(txn, reason=payload.get("reason"))
+            self._remove_everywhere(txn, reason=payload.reason)
             self._drain_waiting()
             return
-        writes = payload.get("writes") or {}
+        writes = payload.writes or {}
         self._resolve_conditions(txn, committed=True)
         if self.natto.lecsf:
             # ECSF: visible and released at commit arrival; replication

@@ -29,6 +29,7 @@ from repro.net.payload import (
     AbortRequest,
     NattoCommitRequest,
     NattoReadAndPrepare,
+    Payload,
 )
 from repro.net.probing import ClientDelayView, ProbeProxy, ProxyDirectory
 from repro.sim import Future, any_of
@@ -191,16 +192,16 @@ class Natto(CarouselBasic):
             if set(reads_by_pid.get(pid, [])) <= set(slot["recsf"]):
                 deliver(pid, dict(slot["recsf"]), 0)
 
-        def on_event(payload: dict, src: str) -> None:
-            kind = payload["kind"]
+        def on_event(payload: Payload, src: str) -> None:
+            kind = payload.kind
             if kind == "decision":
-                if not payload["committed"]:
-                    client.note_abort(aid, payload.get("reason"))
-                decision.try_set_result(payload["committed"])
+                if not payload.committed:
+                    client.note_abort(aid, payload.reason)
+                decision.try_set_result(payload.committed)
             elif kind == "reads":
-                deliver(payload["partition"], payload["values"], payload["epoch"])
+                deliver(payload.partition, payload.values, payload.epoch)
             elif kind in ("recsf_base", "recsf_reads"):
-                merge_recsf(payload["partition"], payload["values"])
+                merge_recsf(payload.partition, payload.values)
 
         client.register_attempt(aid, on_event)
         try:
@@ -227,10 +228,10 @@ class Natto(CarouselBasic):
                 )
                 future.add_done_callback(
                     lambda f, pid=pid: (
-                        deliver(pid, f.value["values"], f.value["epoch"])
-                        if f.value.get("ok")
+                        deliver(pid, f.value.values, f.value.epoch)
+                        if f.value.ok
                         else (
-                            client.note_abort(aid, f.value.get("reason")),
+                            client.note_abort(aid, f.value.reason),
                             failed.try_set_result(False),
                         )
                     )

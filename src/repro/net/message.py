@@ -1,8 +1,11 @@
 """Messages exchanged over the simulated network.
 
 Messages carry a method name (dispatched to ``handle_<method>`` on the
-destination node for RPCs, or to ``handle_message`` for one-way sends), a
-payload dict, and an estimated wire size used by the bandwidth pipes.
+destination node, else to ``handle_message``), a payload, and an
+estimated wire size used by the bandwidth pipes.  Protocol payloads are
+the classes of :mod:`repro.net.payload`, which precompute their size;
+any other payload (the generic network tests send plain dicts) is sized
+by :func:`estimate_size`, the walk those classes' sizes are defined by.
 
 Sizing: keys and values in the evaluation are 64-byte strings; a
 message's wire size is a fixed header plus the payload's estimated
@@ -21,7 +24,7 @@ needs it at dispatch time anyway (byte accounting + bandwidth pipes).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 #: Fixed per-message overhead (TCP/IP + gRPC framing, roughly).
 HEADER_BYTES = 120
@@ -96,7 +99,7 @@ class Message:
     def __init__(
         self,
         method: str,
-        payload: Dict[str, Any],
+        payload: Any,
         src: str,
         dst: str,
         msg_id: Optional[int] = None,
@@ -111,8 +114,8 @@ class Message:
         #: Estimated bytes on the wire (header + payload); computed once
         #: — the payload is never mutated after construction.  Payload
         #: classes (:mod:`repro.net.payload`) precompute their size and
-        #: are the common case, so their slot is read directly; plain
-        #: dicts (and anything else without the attribute) take the
+        #: are the common case, so their slot is read directly; anything
+        #: without the attribute (the generic tests' dicts) takes the
         #: estimate walk.
         try:
             self.wire_size = HEADER_BYTES + payload.wire_size

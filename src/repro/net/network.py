@@ -20,7 +20,14 @@ Two primitives:
   (respond now) or a Future (respond when it resolves).
 
 Handlers receive ``(payload, src_name)`` and are looked up as
-``handle_<method>`` on the destination node.
+``handle_<method>`` on the destination node.  Protocol payloads are the
+classes of :mod:`repro.net.payload`, read by attribute; the network
+itself only reads a reply's ``result`` and, when tracing, a payload's
+``txn`` tag, so any object (the generic tests send dicts) can travel.
+
+Faults: :meth:`Network.set_faults` attaches a
+:class:`repro.faults.FaultInjector` schedule, the one fault path; it
+can hold, delay or (blackhole) drop each message.
 """
 
 from __future__ import annotations
@@ -87,7 +94,7 @@ def _txn_tag(message: Message) -> Optional[str]:
     infrastructure traffic (probes, Raft internals) are untagged and get
     no per-message span — metrics still count them.
     """
-    txn = message.payload.get("txn")
+    txn = getattr(message.payload, "txn", None)
     return txn if isinstance(txn, str) else None
 
 
@@ -121,9 +128,6 @@ class Network:
         # delivered in send order — a later message never overtakes an
         # earlier one, though it can be delayed behind it.
         self._last_arrival: Dict[Tuple[str, str], float] = {}
-        # Fault injection: a predicate (src_name, dst_name) -> bool;
-        # True drops the message.  Used to partition nodes in tests.
-        self._drop_filter = None
         # Declarative fault schedules (repro.faults): when attached, the
         # injector's network-fault state is consulted per message while
         # at least one fault window is open.  None outside fault runs,
@@ -160,12 +164,12 @@ class Network:
     # ------------------------------------------------------------------
     # Primitives
 
-    def send(self, src: Node, dst_name: str, method: str, payload: dict) -> None:
+    def send(self, src: Node, dst_name: str, method: str, payload: Any) -> None:
         """Fire-and-forget message."""
         message = Message(method, payload, src.name, dst_name)
         self._dispatch(message)
 
-    def call(self, src: Node, dst_name: str, method: str, payload: dict) -> Future:
+    def call(self, src: Node, dst_name: str, method: str, payload: Any) -> Future:
         """Request/response RPC; resolves with the handler's response."""
         message = Message(method, payload, src.name, dst_name)
         future = Future()
@@ -178,29 +182,6 @@ class Network:
 
     # ------------------------------------------------------------------
     # Fault injection
-
-    def set_drop_filter(self, predicate) -> None:
-        """Drop every message for which ``predicate(src, dst)`` is True.
-
-        Pass ``None`` to heal.  Messages already in flight still arrive
-        (the fault cuts the wire, it does not vaporize packets mid-air
-        — close enough to a real partition for protocol testing).
-        """
-        self._drop_filter = predicate
-
-    def partition(self, group_a, group_b) -> None:
-        """Convenience: drop all traffic between two sets of node names."""
-        group_a, group_b = set(group_a), set(group_b)
-
-        def predicate(src: str, dst: str) -> bool:
-            return (src in group_a and dst in group_b) or (
-                src in group_b and dst in group_a
-            )
-
-        self.set_drop_filter(predicate)
-
-    def heal(self) -> None:
-        self.set_drop_filter(None)
 
     def set_faults(self, faults) -> None:
         """Attach (or detach with ``None``) a declarative fault state.
@@ -216,20 +197,6 @@ class Network:
     def _dispatch(self, message: Message) -> None:
         sim = self.sim
         obs = sim.obs
-        if self._drop_filter is not None and self._drop_filter(
-            message.src, message.dst
-        ):
-            self.messages_dropped += 1
-            if obs.enabled:
-                obs.metrics.counter("net.messages_dropped").inc()
-                obs.tracer.event(
-                    "drop",
-                    node=message.src,
-                    txn=_txn_tag(message),
-                    method=message.method,
-                    dst=message.dst,
-                )
-            return
         nodes = self._nodes
         src = nodes[message.src]
         dst = nodes[message.dst]
@@ -318,7 +285,7 @@ class Network:
         if message.reply_to is not None:
             future = self._pending_calls.pop(message.reply_to, None)
             if future is not None and not future.done:
-                future.set_result(message.payload.get("result"))
+                future.set_result(message.payload.result)
             return
         cache = self._handler_cache
         key = (message.dst, message.method)

@@ -1,987 +1,296 @@
-"""Allocation-light ``__slots__`` payload classes for hot-path messages.
+"""Protocol message payloads, generated from one field table.
 
-Protocol messages used to be dict literals sized by
-:func:`repro.net.message.estimate_size` on every send.  Both halves are
-hot: the dict allocation itself, and the size walk (the single largest
-``tottime`` entry in the pre-change profile).  Each class here replaces
-one dict shape with a ``__slots__`` object that computes its wire size
-arithmetically at construction — ``Message.__init__`` picks it up via
-the ``wire_size`` attribute instead of walking the payload.
+Every protocol message is a ``__slots__`` object whose wire size is
+computed arithmetically at construction; ``Message.__init__`` reads the
+``wire_size`` attribute instead of walking the payload.  The classes are
+not written by hand: each is one row of the table at the bottom of this
+module, built by :func:`payload_class`.  A row names the message shape
+and maps each field, in order, to one of these size rules:
 
-**Bit-identity contract**: every class's ``wire_size`` must equal
-``estimate_size(self.as_dict())`` exactly, where ``as_dict`` rebuilds
-the dict the old code used to send — including its conditional-key
-quirks (e.g. the Carousel vote dict always carries a ``"reason"`` key,
-the 2PL yes-vote never does).  Wire size feeds the bandwidth pipes, so
-a one-byte slip shifts every downstream timestamp and breaks the
-recorded fingerprints.  ``tests/net/test_payload_classes.py`` asserts
-the parity for representative instances of every class.
+- ``NUM``: a number, 8 bytes;
+- ``BOOL``: a bool, 1 byte;
+- ``STR``: a string, its ``len``;
+- ``OPT_STR``: a string, or ``None`` (1 byte);
+- ``STRS`` / ``OPT_STRS``: a list of strings (the sum of their
+  lengths), or that or ``None`` (1 byte);
+- ``INTS``: a list of ints, 8 bytes each;
+- ``NUM_MAP``: an ``{int: number}`` map, 16 bytes per item;
+- ``STR_INT_MAP``: a ``{str: int}`` map, key lengths + 8 bytes per item;
+- ``ESTIMATE``: :func:`~repro.net.message.estimate_size` of the value
+  (1 for ``None``, 0 for ``[]``, a nested payload's own ``wire_size``);
+- ``NESTED``: the same number, read straight off a nested payload (an
+  RPC result is one nearly always) before walking anything else.
 
-Handlers that unit tests drive with hand-built dicts keep subscript
-access; :class:`Payload` provides dict-compatible ``[]`` / ``get`` /
-``in`` reads so those handlers accept both.  Handlers never mutate
-payloads, which also lets senders share one payload object across a
-fan-out (the old code allocated one identical dict per destination).
+Every field also costs its name's length, as a dict key did.  Two more
+kinds of entry sit in a row: :class:`Fixed` fields have one value in
+every instance (``kind="decision"``, ``ok=True``); they are on the wire
+but live on the class, so they are not constructor arguments.
+:class:`Absent` fields are *not* on the wire: a class-level default for
+a field that a handler reads on every shape reaching it, where only some
+shapes carry it (``CommitTxn.reason`` is ``None``).
+
+**Bit-identity contract**: every class's ``wire_size`` equals
+``estimate_size(payload.as_dict())``, the size of the dict the message
+was first sent as.  Wire size feeds the bandwidth pipes, so a one-byte
+slip shifts every downstream timestamp and breaks the recorded
+fingerprints; ``tests/net/test_payload_classes.py`` checks the parity on
+representative instances of every class.  To add a message, add one
+row here and one instance to that test's ``INSTANCES``.
+
+``__init__`` is generated as source text, as ``namedtuple`` does: one is
+run per message sent, and a generic ``setattr`` loop costs several times
+a hand-written body.  Payloads are read-only by convention, which lets a
+sender share one payload object across a fan-out.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, NamedTuple
 
 from repro.net.message import estimate_size
 
+# Size rules: the source of a field's wire size, ``{0}`` standing for
+# the field.  The two constant rules fold into the class's fixed size.
+NUM = "8"
+BOOL = "1"
+STR = "len({0})"
+OPT_STR = "(len({0}) if {0}.__class__ is str else 1)"
+STRS = "sum(map(len, {0}))"
+OPT_STRS = "(1 if {0} is None else sum(map(len, {0})))"
+INTS = "8 * len({0})"
+NUM_MAP = "16 * len({0})"
+STR_INT_MAP = "sum(map(len, {0})) + 8 * len({0})"
+ESTIMATE = "estimate_size({0})"
+NESTED = '(getattr({0}, "wire_size", None) or estimate_size({0}))'
 
-def _keys(*names: str) -> int:
-    """Total serialized size of a dict's key strings."""
-    return sum(map(len, names))
+
+class Fixed(NamedTuple):
+    """A field with the same value in every instance: on the wire, set
+    on the class."""
+
+    value: Any
 
 
-def _strs(items) -> int:
-    """Total size of a sequence of strings (read/write key lists)."""
-    return sum(map(len, items))
+class Absent(NamedTuple):
+    """A field this shape does not carry: a class-level default for
+    handlers that read it, never on the wire."""
+
+    default: Any
 
 
 class Payload:
-    """Base for payload classes: dict-compatible read access.
-
-    Subclasses declare ``__slots__`` (always ending in ``wire_size``)
-    and compute ``wire_size`` in ``__init__``.  Payloads are immutable
-    by convention — nothing writes to one after construction.
-    """
+    """Base of the generated payload classes."""
 
     __slots__ = ()
+    #: Wire field names in row order (fixed fields included).
+    _fields: tuple = ()
 
-    def __getitem__(self, key: str) -> Any:
-        try:
-            return getattr(self, key)
-        except AttributeError:
-            raise KeyError(key) from None
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return getattr(self, key, default)
-
-    def __contains__(self, key: object) -> bool:
-        return isinstance(key, str) and hasattr(self, key)
+    def as_dict(self) -> dict:
+        """The dict form of this payload: the wire-size reference."""
+        return {name: getattr(self, name) for name in self._fields}
 
     def __eq__(self, other: object) -> bool:
-        """Equal to the dict the payload replaces (and to another
-        payload with the same dict form) — tests compare captured
-        payloads against literal dicts."""
-        if isinstance(other, Payload):
-            return self.as_dict() == other.as_dict()
-        if isinstance(other, dict):
-            return self.as_dict() == other
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
 
-    __hash__ = None  # mutable-dict semantics, like the dicts replaced
+    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        fields = ", ".join(
-            f"{name}={getattr(self, name, '?')!r}"
-            for name in self.__slots__
-            if name != "wire_size"
-        )
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
         return f"<{type(self).__name__} {fields}>"
 
 
-class Reply(Payload):
-    """``{"result": result}`` — the RPC reply wrapper."""
-
-    __slots__ = ("result", "wire_size")
-    _CONST = _keys("result")
-
-    def __init__(self, result: Any) -> None:
-        self.result = result
-        size = getattr(result, "wire_size", None)
-        if size is None:
-            size = estimate_size(result)
-        self.wire_size = self._CONST + size
-
-    def as_dict(self) -> dict:
-        return {"result": self.result}
+def payload_class(name: str, doc: str = "", **fields: Any) -> type:
+    """Build a payload class from one table row (see the module doc)."""
+    namespace = {"__doc__": doc, "__module__": __name__}
+    params, body, sizes, wire = [], [], [], []
+    constant = 0
+    for field, rule in fields.items():
+        if isinstance(rule, Absent):
+            namespace[field] = rule.default
+            continue
+        wire.append(field)
+        constant += len(field)
+        if isinstance(rule, Fixed):
+            namespace[field] = rule.value
+            constant += estimate_size(rule.value)
+            continue
+        params.append(field)
+        body.append(f"self.{field} = {field}")
+        if rule.isdigit():
+            constant += int(rule)
+        else:
+            sizes.append(rule.format(field))
+    body.append(f"self.wire_size = {' + '.join([str(constant), *sizes])}")
+    source = "def __init__({}):\n    {}\n".format(
+        ", ".join(["self", *params]), "\n    ".join(body)
+    )
+    scope: dict = {}
+    exec(source, {"estimate_size": estimate_size}, scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{name}.__init__"
+    namespace.update(
+        __slots__=(*params, "wire_size"), __init__=init, _fields=tuple(wire)
+    )
+    return type(name, (Payload,), namespace)
 
 
 # ----------------------------------------------------------------------
+# The table: one row per message shape.
+
+Reply = payload_class("Reply", "The RPC reply wrapper.", result=NESTED)
+
 # Raft (repro.raft.node)
+AppendEntries = payload_class(
+    "AppendEntries", term=NUM, leader=STR, prev_index=NUM, prev_term=NUM,
+    entries=ESTIMATE, leader_commit=NUM,
+)
+AppendEntriesResponse = payload_class(
+    "AppendEntriesResponse", term=NUM, success=BOOL, follower=STR,
+    match_index=NUM,
+)
+RequestVote = payload_class(
+    "RequestVote", term=NUM, candidate=STR, last_log_index=NUM,
+    last_log_term=NUM,
+)
+RequestVoteResponse = payload_class(
+    "RequestVoteResponse", term=NUM, granted=BOOL, voter=STR
+)
 
-
-class AppendEntries(Payload):
-    __slots__ = ("term", "leader", "prev_index", "prev_term", "entries",
-                 "leader_commit", "wire_size")
-    #: key bytes + the four 8-byte numeric values (term, prev_index,
-    #: prev_term, leader_commit).
-    _CONST = _keys("term", "leader", "prev_index", "prev_term", "entries",
-                   "leader_commit") + 32
-
-    def __init__(self, term: int, leader: str, prev_index: int,
-                 prev_term: int, entries: Sequence[Tuple[int, Any]],
-                 leader_commit: int) -> None:
-        self.term = term
-        self.leader = leader
-        self.prev_index = prev_index
-        self.prev_term = prev_term
-        self.entries = entries
-        self.leader_commit = leader_commit
-        self.wire_size = self._CONST + len(leader) + (
-            estimate_size(entries) if entries else 0
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "term": self.term,
-            "leader": self.leader,
-            "prev_index": self.prev_index,
-            "prev_term": self.prev_term,
-            "entries": list(self.entries),
-            "leader_commit": self.leader_commit,
-        }
-
-
-class AppendEntriesResponse(Payload):
-    __slots__ = ("term", "success", "follower", "match_index", "wire_size")
-    _CONST = _keys("term", "success", "follower", "match_index") + 8 + 1 + 8
-
-    def __init__(self, term: int, success: bool, follower: str,
-                 match_index: int) -> None:
-        self.term = term
-        self.success = success
-        self.follower = follower
-        self.match_index = match_index
-        self.wire_size = self._CONST + len(follower)
-
-    def as_dict(self) -> dict:
-        return {
-            "term": self.term,
-            "success": self.success,
-            "follower": self.follower,
-            "match_index": self.match_index,
-        }
-
-
-class RequestVote(Payload):
-    __slots__ = ("term", "candidate", "last_log_index", "last_log_term",
-                 "wire_size")
-    _CONST = _keys("term", "candidate", "last_log_index",
-                   "last_log_term") + 24
-
-    def __init__(self, term: int, candidate: str, last_log_index: int,
-                 last_log_term: int) -> None:
-        self.term = term
-        self.candidate = candidate
-        self.last_log_index = last_log_index
-        self.last_log_term = last_log_term
-        self.wire_size = self._CONST + len(candidate)
-
-    def as_dict(self) -> dict:
-        return {
-            "term": self.term,
-            "candidate": self.candidate,
-            "last_log_index": self.last_log_index,
-            "last_log_term": self.last_log_term,
-        }
-
-
-class RequestVoteResponse(Payload):
-    __slots__ = ("term", "granted", "voter", "wire_size")
-    _CONST = _keys("term", "granted", "voter") + 8 + 1
-
-    def __init__(self, term: int, granted: bool, voter: str) -> None:
-        self.term = term
-        self.granted = granted
-        self.voter = voter
-        self.wire_size = self._CONST + len(voter)
-
-    def as_dict(self) -> dict:
-        return {
-            "term": self.term,
-            "granted": self.granted,
-            "voter": self.voter,
-        }
-
-
-# ----------------------------------------------------------------------
 # Delay probing (repro.net.probing)
+Probe = payload_class("Probe", "A proxy's clock reading.", t=NUM)
+ProbeReply = payload_class(
+    "ProbeReply", "A probed server's clock reading.", server_time=NUM
+)
 
-
-class Probe(Payload):
-    """``{"t": <proxy clock reading>}``."""
-
-    __slots__ = ("t", "wire_size")
-    _CONST = _keys("t") + 8
-
-    def __init__(self, t: float) -> None:
-        self.t = t
-        self.wire_size = self._CONST
-
-    def as_dict(self) -> dict:
-        return {"t": self.t}
-
-
-class ProbeReply(Payload):
-    """``{"server_time": <server clock reading>}`` — probe RPC result."""
-
-    __slots__ = ("server_time", "wire_size")
-    _CONST = _keys("server_time") + 8
-
-    def __init__(self, server_time: float) -> None:
-        self.server_time = server_time
-        self.wire_size = self._CONST
-
-    def as_dict(self) -> dict:
-        return {"server_time": self.server_time}
-
-
-def _opt_str(value: Optional[str]) -> int:
-    """Size of a string-or-None value (refusal/vote reasons)."""
-    return len(value) if value.__class__ is str else 1
-
-
-# ----------------------------------------------------------------------
 # Read-and-prepare replies (Carousel, 2PL lock grants, Natto)
+ReadOk = payload_class("ReadOk", ok=Fixed(True), values=ESTIMATE)
+ReadOkEpoch = payload_class(
+    "ReadOkEpoch", "Natto's read delivery.", ok=Fixed(True),
+    values=ESTIMATE, epoch=NUM,
+)
+Refusal = payload_class("Refusal", ok=Fixed(False), reason=OPT_STR)
 
+# 2PC votes.  The Natto coordinator reads epoch/conditional on every
+# vote; only its yes-votes carry them.
+Vote = payload_class(
+    "Vote", "The 2PL yes-vote.", txn=STR, partition=NUM, vote=STR,
+    participants=INTS, client=STR,
+)
+VoteReason = payload_class(
+    "VoteReason", "Carousel's votes (reason None on yes) and every no-vote.",
+    txn=STR, partition=NUM, vote=STR, participants=INTS, client=STR,
+    reason=OPT_STR, epoch=Absent(0), conditional=Absent(None),
+)
+NattoVoteYes = payload_class(
+    "NattoVoteYes", "Natto's yes-vote: read epoch + optional condition.",
+    txn=STR, partition=NUM, vote=STR, epoch=NUM, conditional=OPT_STRS,
+    participants=INTS, client=STR,
+)
 
-class ReadOk(Payload):
-    """``{"ok": True, "values": {key: value}}``."""
-
-    __slots__ = ("ok", "values", "wire_size")
-    _CONST = _keys("ok", "values") + 1
-
-    def __init__(self, values: Dict[str, Any]) -> None:
-        self.ok = True
-        self.values = values
-        self.wire_size = self._CONST + estimate_size(values)
-
-    def as_dict(self) -> dict:
-        return {"ok": True, "values": self.values}
-
-
-class ReadOkEpoch(Payload):
-    """Natto's read delivery: ``{"ok": True, "values": ..., "epoch": n}``."""
-
-    __slots__ = ("ok", "values", "epoch", "wire_size")
-    _CONST = _keys("ok", "values", "epoch") + 1 + 8
-
-    def __init__(self, values: Dict[str, Any], epoch: int) -> None:
-        self.ok = True
-        self.values = values
-        self.epoch = epoch
-        self.wire_size = self._CONST + estimate_size(values)
-
-    def as_dict(self) -> dict:
-        return {"ok": True, "values": self.values, "epoch": self.epoch}
-
-
-class Refusal(Payload):
-    """``{"ok": False, "reason": <classified reason or None>}``."""
-
-    __slots__ = ("ok", "reason", "wire_size")
-    _CONST = _keys("ok", "reason") + 1
-
-    def __init__(self, reason: Optional[str]) -> None:
-        self.ok = False
-        self.reason = reason
-        self.wire_size = self._CONST + _opt_str(reason)
-
-    def as_dict(self) -> dict:
-        return {"ok": False, "reason": self.reason}
-
-
-# ----------------------------------------------------------------------
-# 2PC votes
-
-
-class Vote(Payload):
-    """The 2PL yes-vote (no reason key)."""
-
-    __slots__ = ("txn", "partition", "vote", "participants", "client",
-                 "wire_size")
-    _CONST = _keys("txn", "partition", "vote", "participants", "client") + 8
-
-    def __init__(self, txn: str, partition: int, vote: str,
-                 participants: List[int], client: str) -> None:
-        self.txn = txn
-        self.partition = partition
-        self.vote = vote
-        self.participants = participants
-        self.client = client
-        self.wire_size = (self._CONST + len(txn) + len(vote)
-                          + 8 * len(participants) + len(client))
-
-    def as_dict(self) -> dict:
-        return {
-            "txn": self.txn,
-            "partition": self.partition,
-            "vote": self.vote,
-            "participants": self.participants,
-            "client": self.client,
-        }
-
-
-class VoteReason(Payload):
-    """Vote with a ``reason`` key: Carousel's votes (always carry it,
-    ``None`` on yes), 2PL no-votes, Natto no-votes."""
-
-    __slots__ = ("txn", "partition", "vote", "participants", "client",
-                 "reason", "wire_size")
-    _CONST = _keys("txn", "partition", "vote", "participants", "client",
-                   "reason") + 8
-
-    def __init__(self, txn: str, partition: int, vote: str,
-                 participants: List[int], client: str,
-                 reason: Optional[str]) -> None:
-        self.txn = txn
-        self.partition = partition
-        self.vote = vote
-        self.participants = participants
-        self.client = client
-        self.reason = reason
-        self.wire_size = (self._CONST + len(txn) + len(vote)
-                          + 8 * len(participants) + len(client)
-                          + _opt_str(reason))
-
-    def as_dict(self) -> dict:
-        return {
-            "txn": self.txn,
-            "partition": self.partition,
-            "vote": self.vote,
-            "participants": self.participants,
-            "client": self.client,
-            "reason": self.reason,
-        }
-
-
-class NattoVoteYes(Payload):
-    """Natto's yes-vote: epoch + optional condition, no reason key."""
-
-    __slots__ = ("txn", "partition", "vote", "epoch", "conditional",
-                 "participants", "client", "wire_size")
-    _CONST = _keys("txn", "partition", "vote", "epoch", "conditional",
-                   "participants", "client") + 8 + 8
-
-    def __init__(self, txn: str, partition: int, vote: str, epoch: int,
-                 conditional: Optional[List[str]], participants: List[int],
-                 client: str) -> None:
-        self.txn = txn
-        self.partition = partition
-        self.vote = vote
-        self.epoch = epoch
-        self.conditional = conditional
-        self.participants = participants
-        self.client = client
-        self.wire_size = (self._CONST + len(txn) + len(vote)
-                          + (1 if conditional is None else _strs(conditional))
-                          + 8 * len(participants) + len(client))
-
-    def as_dict(self) -> dict:
-        return {
-            "txn": self.txn,
-            "partition": self.partition,
-            "vote": self.vote,
-            "epoch": self.epoch,
-            "conditional": self.conditional,
-            "participants": self.participants,
-            "client": self.client,
-        }
-
-
-# ----------------------------------------------------------------------
 # Client requests (Carousel / Natto / 2PL)
+CarouselReadAndPrepare = payload_class(
+    "CarouselReadAndPrepare", txn=STR, reads=STRS, writes=STRS,
+    coordinator=STR, client=STR, participants=INTS,
+)
+NattoReadAndPrepare = payload_class(
+    "NattoReadAndPrepare", txn=STR, ts=NUM, priority=NUM, full_reads=STRS,
+    full_writes=STRS, coordinator=STR, client=STR, participants=INTS,
+    arrival_estimates=NUM_MAP, max_owd=NUM,
+)
+LockRead = payload_class(
+    "LockRead", "2PL phase 1: lock acquisition + reads.", txn=STR,
+    reads=STRS, writes=STRS, ts=NUM, priority=NUM, client=STR,
+    coordinator=STR, participants=INTS,
+)
+TwoPLPrepare = payload_class(
+    "TwoPLPrepare", "2PL phase 2: write data to a participant.", txn=STR,
+    writes=ESTIMATE, coordinator=STR, client=STR, participants=INTS,
+)
+ReleaseLocks = payload_class("ReleaseLocks", txn=STR)
+CommitRequest = payload_class(
+    "CommitRequest", "Client -> coordinator: write data + commit.",
+    txn=STR, client=STR, participants=INTS, writes=ESTIMATE,
+    epochs=Absent({}), fast_path=Absent(False),
+)
+NattoCommitRequest = payload_class(
+    "NattoCommitRequest", "Commit request + per-partition read epochs.",
+    txn=STR, client=STR, participants=INTS, writes=ESTIMATE, epochs=NUM_MAP,
+)
+FastCommitRequest = payload_class(
+    "FastCommitRequest", "Carousel Fast: commit + unanimous-fast-path flag.",
+    txn=STR, client=STR, participants=INTS, writes=ESTIMATE, fast_path=BOOL,
+)
+AbortRequest = payload_class(
+    "AbortRequest", txn=STR, client=STR, participants=INTS
+)
 
-
-class CarouselReadAndPrepare(Payload):
-    __slots__ = ("txn", "reads", "writes", "coordinator", "client",
-                 "participants", "wire_size")
-    _CONST = _keys("txn", "reads", "writes", "coordinator", "client",
-                   "participants")
-
-    def __init__(self, txn: str, reads: List[str], writes: List[str],
-                 coordinator: str, client: str,
-                 participants: List[int]) -> None:
-        self.txn = txn
-        self.reads = reads
-        self.writes = writes
-        self.coordinator = coordinator
-        self.client = client
-        self.participants = participants
-        self.wire_size = (self._CONST + len(txn) + _strs(reads)
-                          + _strs(writes) + len(coordinator) + len(client)
-                          + 8 * len(participants))
-
-    def as_dict(self) -> dict:
-        return {
-            "txn": self.txn,
-            "reads": self.reads,
-            "writes": self.writes,
-            "coordinator": self.coordinator,
-            "client": self.client,
-            "participants": self.participants,
-        }
-
-
-class NattoReadAndPrepare(Payload):
-    __slots__ = ("txn", "ts", "priority", "full_reads", "full_writes",
-                 "coordinator", "client", "participants",
-                 "arrival_estimates", "max_owd", "wire_size")
-    #: key bytes + ts/priority/max_owd numerics.
-    _CONST = _keys("txn", "ts", "priority", "full_reads", "full_writes",
-                   "coordinator", "client", "participants",
-                   "arrival_estimates", "max_owd") + 24
-
-    def __init__(self, txn: str, ts: float, priority: int,
-                 full_reads: List[str], full_writes: List[str],
-                 coordinator: str, client: str, participants: List[int],
-                 arrival_estimates: Dict[int, float],
-                 max_owd: float) -> None:
-        self.txn = txn
-        self.ts = ts
-        self.priority = priority
-        self.full_reads = full_reads
-        self.full_writes = full_writes
-        self.coordinator = coordinator
-        self.client = client
-        self.participants = participants
-        self.arrival_estimates = arrival_estimates
-        self.max_owd = max_owd
-        self.wire_size = (self._CONST + len(txn) + _strs(full_reads)
-                          + _strs(full_writes) + len(coordinator)
-                          + len(client) + 8 * len(participants)
-                          + 16 * len(arrival_estimates))
-
-    def as_dict(self) -> dict:
-        return {
-            "txn": self.txn,
-            "ts": self.ts,
-            "priority": self.priority,
-            "full_reads": self.full_reads,
-            "full_writes": self.full_writes,
-            "coordinator": self.coordinator,
-            "client": self.client,
-            "participants": self.participants,
-            "arrival_estimates": self.arrival_estimates,
-            "max_owd": self.max_owd,
-        }
-
-
-class LockRead(Payload):
-    """2PL phase 1: lock acquisition + reads."""
-
-    __slots__ = ("txn", "reads", "writes", "ts", "priority", "client",
-                 "coordinator", "participants", "wire_size")
-    _CONST = _keys("txn", "reads", "writes", "ts", "priority", "client",
-                   "coordinator", "participants") + 16
-
-    def __init__(self, txn: str, reads: List[str], writes: List[str],
-                 ts: float, priority: int, client: str, coordinator: str,
-                 participants: List[int]) -> None:
-        self.txn = txn
-        self.reads = reads
-        self.writes = writes
-        self.ts = ts
-        self.priority = priority
-        self.client = client
-        self.coordinator = coordinator
-        self.participants = participants
-        self.wire_size = (self._CONST + len(txn) + _strs(reads)
-                          + _strs(writes) + len(client) + len(coordinator)
-                          + 8 * len(participants))
-
-    def as_dict(self) -> dict:
-        return {
-            "txn": self.txn,
-            "reads": self.reads,
-            "writes": self.writes,
-            "ts": self.ts,
-            "priority": self.priority,
-            "client": self.client,
-            "coordinator": self.coordinator,
-            "participants": self.participants,
-        }
-
-
-class TwoPLPrepare(Payload):
-    """2PL phase 2: write data to a participant."""
-
-    __slots__ = ("txn", "writes", "coordinator", "client", "participants",
-                 "wire_size")
-    _CONST = _keys("txn", "writes", "coordinator", "client", "participants")
-
-    def __init__(self, txn: str, writes: Dict[str, str], coordinator: str,
-                 client: str, participants: List[int]) -> None:
-        self.txn = txn
-        self.writes = writes
-        self.coordinator = coordinator
-        self.client = client
-        self.participants = participants
-        self.wire_size = (self._CONST + len(txn) + estimate_size(writes)
-                          + len(coordinator) + len(client)
-                          + 8 * len(participants))
-
-    def as_dict(self) -> dict:
-        return {
-            "txn": self.txn,
-            "writes": self.writes,
-            "coordinator": self.coordinator,
-            "client": self.client,
-            "participants": self.participants,
-        }
-
-
-class ReleaseLocks(Payload):
-    __slots__ = ("txn", "wire_size")
-    _CONST = _keys("txn")
-
-    def __init__(self, txn: str) -> None:
-        self.txn = txn
-        self.wire_size = self._CONST + len(txn)
-
-    def as_dict(self) -> dict:
-        return {"txn": self.txn}
-
-
-class CommitRequest(Payload):
-    """Client -> coordinator: write data + commit."""
-
-    __slots__ = ("txn", "client", "participants", "writes", "wire_size")
-    _CONST = _keys("txn", "client", "participants", "writes")
-
-    def __init__(self, txn: str, client: str, participants: List[int],
-                 writes: Dict[str, str]) -> None:
-        self.txn = txn
-        self.client = client
-        self.participants = participants
-        self.writes = writes
-        self.wire_size = (self._CONST + len(txn) + len(client)
-                          + 8 * len(participants) + estimate_size(writes))
-
-    def as_dict(self) -> dict:
-        return {
-            "txn": self.txn,
-            "client": self.client,
-            "participants": self.participants,
-            "writes": self.writes,
-        }
-
-
-class NattoCommitRequest(Payload):
-    """Commit request + per-partition read epochs."""
-
-    __slots__ = ("txn", "client", "participants", "writes", "epochs",
-                 "wire_size")
-    _CONST = _keys("txn", "client", "participants", "writes", "epochs")
-
-    def __init__(self, txn: str, client: str, participants: List[int],
-                 writes: Dict[str, str], epochs: Dict[int, int]) -> None:
-        self.txn = txn
-        self.client = client
-        self.participants = participants
-        self.writes = writes
-        self.epochs = epochs
-        self.wire_size = (self._CONST + len(txn) + len(client)
-                          + 8 * len(participants) + estimate_size(writes)
-                          + 16 * len(epochs))
-
-    def as_dict(self) -> dict:
-        return {
-            "txn": self.txn,
-            "client": self.client,
-            "participants": self.participants,
-            "writes": self.writes,
-            "epochs": self.epochs,
-        }
-
-
-class FastCommitRequest(Payload):
-    """Carousel Fast: commit request + unanimous-fast-path flag."""
-
-    __slots__ = ("txn", "client", "participants", "writes", "fast_path",
-                 "wire_size")
-    _CONST = _keys("txn", "client", "participants", "writes",
-                   "fast_path") + 1
-
-    def __init__(self, txn: str, client: str, participants: List[int],
-                 writes: Dict[str, str], fast_path: bool) -> None:
-        self.txn = txn
-        self.client = client
-        self.participants = participants
-        self.writes = writes
-        self.fast_path = fast_path
-        self.wire_size = (self._CONST + len(txn) + len(client)
-                          + 8 * len(participants) + estimate_size(writes))
-
-    def as_dict(self) -> dict:
-        return {
-            "txn": self.txn,
-            "client": self.client,
-            "participants": self.participants,
-            "writes": self.writes,
-            "fast_path": self.fast_path,
-        }
-
-
-class AbortRequest(Payload):
-    __slots__ = ("txn", "client", "participants", "wire_size")
-    _CONST = _keys("txn", "client", "participants")
-
-    def __init__(self, txn: str, client: str,
-                 participants: List[int]) -> None:
-        self.txn = txn
-        self.client = client
-        self.participants = participants
-        self.wire_size = (self._CONST + len(txn) + len(client)
-                          + 8 * len(participants))
-
-    def as_dict(self) -> dict:
-        return {
-            "txn": self.txn,
-            "client": self.client,
-            "participants": self.participants,
-        }
-
-
-# ----------------------------------------------------------------------
 # Coordinator fan-out + client events
+CommitTxn = payload_class(
+    "CommitTxn", "Coordinator -> participant outcome.", txn=STR,
+    decision=BOOL, writes=ESTIMATE, reason=Absent(None),
+)
+CommitTxnReason = payload_class(
+    "CommitTxnReason", "Abort outcome carrying the classified reason.",
+    txn=STR, decision=BOOL, writes=ESTIMATE, reason=STR,
+)
+FastOutcome = payload_class(
+    "FastOutcome", "Carousel Fast abort notice to follower replicas.",
+    txn=STR, decision=BOOL,
+)
+DecisionEvent = payload_class(
+    "DecisionEvent", txn=STR, kind=Fixed("decision"), committed=BOOL,
+    reason=Absent(None),
+)
+DecisionEventReason = payload_class(
+    "DecisionEventReason", "Abort decision carrying the reason.", txn=STR,
+    kind=Fixed("decision"), committed=BOOL, reason=STR,
+)
+ReadsEvent = payload_class(
+    "ReadsEvent", "Natto's read delivery after a failed condition.",
+    txn=STR, kind=Fixed("reads"), partition=NUM, values=ESTIMATE, epoch=NUM,
+)
+PartitionValuesEvent = payload_class(
+    "PartitionValuesEvent", "RECSF values (recsf_base / recsf_reads).",
+    txn=STR, kind=STR, partition=NUM, values=ESTIMATE,
+)
+WoundEvent = payload_class(
+    "WoundEvent", "2PL wound notice to the victim's client.", txn=STR,
+    kind=Fixed("wound"), by=STR,
+)
 
-
-class CommitTxn(Payload):
-    """Coordinator -> participant outcome (no reason key)."""
-
-    __slots__ = ("txn", "decision", "writes", "wire_size")
-    _CONST = _keys("txn", "decision", "writes") + 1
-
-    def __init__(self, txn: str, decision: bool,
-                 writes: Optional[Dict[str, str]]) -> None:
-        self.txn = txn
-        self.decision = decision
-        self.writes = writes
-        self.wire_size = self._CONST + len(txn) + (
-            estimate_size(writes) if writes is not None else 1
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "txn": self.txn,
-            "decision": self.decision,
-            "writes": self.writes,
-        }
-
-
-class CommitTxnReason(Payload):
-    """Abort outcome carrying the classified reason."""
-
-    __slots__ = ("txn", "decision", "writes", "reason", "wire_size")
-    _CONST = _keys("txn", "decision", "writes", "reason") + 1
-
-    def __init__(self, txn: str, decision: bool,
-                 writes: Optional[Dict[str, str]], reason: str) -> None:
-        self.txn = txn
-        self.decision = decision
-        self.writes = writes
-        self.reason = reason
-        self.wire_size = self._CONST + len(txn) + (
-            estimate_size(writes) if writes is not None else 1
-        ) + len(reason)
-
-    def as_dict(self) -> dict:
-        return {
-            "txn": self.txn,
-            "decision": self.decision,
-            "writes": self.writes,
-            "reason": self.reason,
-        }
-
-
-class FastOutcome(Payload):
-    """Carousel Fast abort notification to follower replicas."""
-
-    __slots__ = ("txn", "decision", "wire_size")
-    _CONST = _keys("txn", "decision") + 1
-
-    def __init__(self, txn: str, decision: bool) -> None:
-        self.txn = txn
-        self.decision = decision
-        self.wire_size = self._CONST + len(txn)
-
-    def as_dict(self) -> dict:
-        return {"txn": self.txn, "decision": self.decision}
-
-
-class DecisionEvent(Payload):
-    """``txn_event`` decision without a reason key (commits)."""
-
-    __slots__ = ("txn", "kind", "committed", "wire_size")
-    _CONST = _keys("txn", "kind", "committed") + 1
-
-    def __init__(self, txn: str, committed: bool) -> None:
-        self.txn = txn
-        self.kind = "decision"
-        self.committed = committed
-        self.wire_size = self._CONST + len(txn) + 8
-
-    def as_dict(self) -> dict:
-        return {"txn": self.txn, "kind": self.kind,
-                "committed": self.committed}
-
-
-class DecisionEventReason(Payload):
-    """``txn_event`` abort decision carrying the reason."""
-
-    __slots__ = ("txn", "kind", "committed", "reason", "wire_size")
-    _CONST = _keys("txn", "kind", "committed", "reason") + 1
-
-    def __init__(self, txn: str, committed: bool, reason: str) -> None:
-        self.txn = txn
-        self.kind = "decision"
-        self.committed = committed
-        self.reason = reason
-        self.wire_size = self._CONST + len(txn) + 8 + len(reason)
-
-    def as_dict(self) -> dict:
-        return {"txn": self.txn, "kind": self.kind,
-                "committed": self.committed, "reason": self.reason}
-
-
-class ReadsEvent(Payload):
-    """Natto's replacement read delivery after a failed condition."""
-
-    __slots__ = ("txn", "kind", "partition", "values", "epoch", "wire_size")
-    _CONST = _keys("txn", "kind", "partition", "values", "epoch") + 8 + 8
-
-    def __init__(self, txn: str, partition: int, values: Dict[str, Any],
-                 epoch: int) -> None:
-        self.txn = txn
-        self.kind = "reads"
-        self.partition = partition
-        self.values = values
-        self.epoch = epoch
-        self.wire_size = (self._CONST + len(txn) + len(self.kind)
-                          + estimate_size(values))
-
-    def as_dict(self) -> dict:
-        return {"txn": self.txn, "kind": self.kind,
-                "partition": self.partition, "values": self.values,
-                "epoch": self.epoch}
-
-
-class PartitionValuesEvent(Payload):
-    """RECSF value delivery (kinds ``recsf_base`` / ``recsf_reads``)."""
-
-    __slots__ = ("txn", "kind", "partition", "values", "wire_size")
-    _CONST = _keys("txn", "kind", "partition", "values") + 8
-
-    def __init__(self, txn: str, kind: str, partition: int,
-                 values: Dict[str, Any]) -> None:
-        self.txn = txn
-        self.kind = kind
-        self.partition = partition
-        self.values = values
-        self.wire_size = (self._CONST + len(txn) + len(kind)
-                          + estimate_size(values))
-
-    def as_dict(self) -> dict:
-        return {"txn": self.txn, "kind": self.kind,
-                "partition": self.partition, "values": self.values}
-
-
-class WoundEvent(Payload):
-    """2PL wound notification to the victim's client."""
-
-    __slots__ = ("txn", "kind", "by", "wire_size")
-    _CONST = _keys("txn", "kind", "by")
-
-    def __init__(self, txn: str, by: str) -> None:
-        self.txn = txn
-        self.kind = "wound"
-        self.by = by
-        self.wire_size = self._CONST + len(txn) + len(self.kind) + len(by)
-
-    def as_dict(self) -> dict:
-        return {"txn": self.txn, "kind": self.kind, "by": self.by}
-
-
-# ----------------------------------------------------------------------
 # Natto CP / RECSF coordination
+RecsfForward = payload_class(
+    "RecsfForward", "Participant -> blocker's coordinator read forward.",
+    txn=STR, reader=STR, reader_client=STR, partition=NUM, keys=STRS,
+)
+ConditionResolved = payload_class(
+    "ConditionResolved", "Participant -> coordinator condition outcome.",
+    txn=STR, partition=NUM, ok=BOOL, epoch=NUM,
+)
 
-
-class RecsfForward(Payload):
-    """Participant -> blocker's coordinator read forward."""
-
-    __slots__ = ("txn", "reader", "reader_client", "partition", "keys",
-                 "wire_size")
-    _CONST = _keys("txn", "reader", "reader_client", "partition", "keys") + 8
-
-    def __init__(self, txn: str, reader: str, reader_client: str,
-                 partition: int, keys: List[str]) -> None:
-        self.txn = txn
-        self.reader = reader
-        self.reader_client = reader_client
-        self.partition = partition
-        self.keys = keys
-        self.wire_size = (self._CONST + len(txn) + len(reader)
-                          + len(reader_client) + _strs(keys))
-
-    def as_dict(self) -> dict:
-        return {"txn": self.txn, "reader": self.reader,
-                "reader_client": self.reader_client,
-                "partition": self.partition, "keys": self.keys}
-
-
-class ConditionResolved(Payload):
-    """Participant -> coordinator condition outcome."""
-
-    __slots__ = ("txn", "partition", "ok", "epoch", "wire_size")
-    _CONST = _keys("txn", "partition", "ok", "epoch") + 8 + 1 + 8
-
-    def __init__(self, txn: str, partition: int, ok: bool,
-                 epoch: int) -> None:
-        self.txn = txn
-        self.partition = partition
-        self.ok = ok
-        self.epoch = epoch
-        self.wire_size = self._CONST + len(txn)
-
-    def as_dict(self) -> dict:
-        return {"txn": self.txn, "partition": self.partition,
-                "ok": self.ok, "epoch": self.epoch}
-
-
-# ----------------------------------------------------------------------
 # TAPIR
+TapirRead = payload_class("TapirRead", keys=STRS)
+TapirReadResult = payload_class(
+    "TapirReadResult", "values: {key: (value, version)}.", values=ESTIMATE
+)
+TapirPrepare = payload_class(
+    "TapirPrepare", txn=STR, read_versions=STR_INT_MAP, write_keys=STRS
+)
+TapirFinalize = payload_class(
+    "TapirFinalize", txn=STR, decision=STR, read_versions=STR_INT_MAP,
+    write_keys=STRS,
+)
+TapirVoteOk = payload_class("TapirVoteOk", vote=Fixed("ok"))
+TapirVoteAbort = payload_class(
+    "TapirVoteAbort", vote=Fixed("abort"), reason=STR
+)
+TapirAck = payload_class("TapirAck", ack=Fixed(True))
+TapirCommit = payload_class("TapirCommit", txn=STR, writes=ESTIMATE)
+TapirAbort = payload_class("TapirAbort", txn=STR)
 
-
-class TapirRead(Payload):
-    __slots__ = ("keys", "wire_size")
-    _CONST = _keys("keys")
-
-    def __init__(self, keys: List[str]) -> None:
-        self.keys = keys
-        self.wire_size = self._CONST + _strs(keys)
-
-    def as_dict(self) -> dict:
-        return {"keys": self.keys}
-
-
-class TapirReadResult(Payload):
-    """``{"values": {key: (value, version)}}``."""
-
-    __slots__ = ("values", "wire_size")
-    _CONST = _keys("values")
-
-    def __init__(self, values: Dict[str, Tuple[Any, int]]) -> None:
-        self.values = values
-        self.wire_size = self._CONST + estimate_size(values)
-
-    def as_dict(self) -> dict:
-        return {"values": self.values}
-
-
-class TapirPrepare(Payload):
-    __slots__ = ("txn", "read_versions", "write_keys", "wire_size")
-    _CONST = _keys("txn", "read_versions", "write_keys")
-
-    def __init__(self, txn: str, read_versions: Dict[str, int],
-                 write_keys: List[str]) -> None:
-        self.txn = txn
-        self.read_versions = read_versions
-        self.write_keys = write_keys
-        self.wire_size = (self._CONST + len(txn) + _strs(read_versions)
-                          + 8 * len(read_versions) + _strs(write_keys))
-
-    def as_dict(self) -> dict:
-        return {"txn": self.txn, "read_versions": self.read_versions,
-                "write_keys": self.write_keys}
-
-
-class TapirFinalize(Payload):
-    __slots__ = ("txn", "decision", "read_versions", "write_keys",
-                 "wire_size")
-    _CONST = _keys("txn", "decision", "read_versions", "write_keys")
-
-    def __init__(self, txn: str, decision: str,
-                 read_versions: Dict[str, int],
-                 write_keys: List[str]) -> None:
-        self.txn = txn
-        self.decision = decision
-        self.read_versions = read_versions
-        self.write_keys = write_keys
-        self.wire_size = (self._CONST + len(txn) + len(decision)
-                          + _strs(read_versions) + 8 * len(read_versions)
-                          + _strs(write_keys))
-
-    def as_dict(self) -> dict:
-        return {"txn": self.txn, "decision": self.decision,
-                "read_versions": self.read_versions,
-                "write_keys": self.write_keys}
-
-
-class TapirVoteOk(Payload):
-    """``{"vote": "ok"}`` — stateless; use the shared ``TAPIR_VOTE_OK``."""
-
-    __slots__ = ("vote", "wire_size")
-    _CONST = _keys("vote") + len("ok")
-
-    def __init__(self) -> None:
-        self.vote = "ok"
-        self.wire_size = self._CONST
-
-    def as_dict(self) -> dict:
-        return {"vote": self.vote}
-
-
-#: Shared instance: every ok-vote is byte-identical, so one object
-#: serves all replicas (payloads are read-only).
+#: Shared stateless instances: every ok-vote and ack is byte-identical,
+#: so one object serves all replicas.
 TAPIR_VOTE_OK = TapirVoteOk()
-
-
-class TapirVoteAbort(Payload):
-    __slots__ = ("vote", "reason", "wire_size")
-    _CONST = _keys("vote", "reason") + len("abort")
-
-    def __init__(self, reason: str) -> None:
-        self.vote = "abort"
-        self.reason = reason
-        self.wire_size = self._CONST + len(reason)
-
-    def as_dict(self) -> dict:
-        return {"vote": self.vote, "reason": self.reason}
-
-
-class TapirAck(Payload):
-    """``{"ack": True}`` — stateless; use the shared ``TAPIR_ACK``."""
-
-    __slots__ = ("ack", "wire_size")
-    _CONST = _keys("ack") + 1
-
-    def __init__(self) -> None:
-        self.ack = True
-        self.wire_size = self._CONST
-
-    def as_dict(self) -> dict:
-        return {"ack": self.ack}
-
-
 TAPIR_ACK = TapirAck()
-
-
-class TapirCommit(Payload):
-    __slots__ = ("txn", "writes", "wire_size")
-    _CONST = _keys("txn", "writes")
-
-    def __init__(self, txn: str, writes: Dict[str, str]) -> None:
-        self.txn = txn
-        self.writes = writes
-        self.wire_size = self._CONST + len(txn) + estimate_size(writes)
-
-    def as_dict(self) -> dict:
-        return {"txn": self.txn, "writes": self.writes}
-
-
-class TapirAbort(Payload):
-    __slots__ = ("txn", "wire_size")
-    _CONST = _keys("txn")
-
-    def __init__(self, txn: str) -> None:
-        self.txn = txn
-        self.wire_size = self._CONST + len(txn)
-
-    def as_dict(self) -> dict:
-        return {"txn": self.txn}

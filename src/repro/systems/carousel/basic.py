@@ -25,6 +25,7 @@ from repro.net.payload import (
     AbortRequest,
     CarouselReadAndPrepare,
     CommitRequest,
+    Payload,
 )
 from repro.sim import Future, all_of
 from repro.store.kv import KeyValueStore
@@ -126,12 +127,12 @@ class CarouselBasic(TransactionSystem):
 
         decision = Future()
 
-        def on_event(payload: dict, src: str) -> None:
-            if payload["kind"] != "decision":
+        def on_event(payload: Payload, src: str) -> None:
+            if payload.kind != "decision":
                 return
-            if not payload["committed"]:
-                client.note_abort(aid, payload.get("reason"))
-            decision.try_set_result(payload["committed"])
+            if not payload.committed:
+                client.note_abort(aid, payload.reason)
+            decision.try_set_result(payload.committed)
 
         client.register_attempt(aid, on_event)
         try:
@@ -153,17 +154,17 @@ class CarouselBasic(TransactionSystem):
                     for pid in participants
                 ]
             )
-            if not all(reply["ok"] for reply in replies):
+            if not all(reply.ok for reply in replies):
                 # Some participant refused to prepare; its no-vote drives
                 # the coordinator's abort + cleanup.  Retry immediately.
                 for reply in replies:
-                    if not reply["ok"]:
-                        client.note_abort(aid, reply.get("reason"))
+                    if not reply.ok:
+                        client.note_abort(aid, reply.reason)
                         break
                 return False
             read_results: Dict[str, str] = {}
             for reply in replies:
-                read_results.update(reply["values"])
+                read_results.update(reply.values)
             writes = spec.make_writes(read_results)
             if writes is None:
                 client.network.send(

@@ -24,10 +24,12 @@ from typing import Any, Dict, List, Optional
 
 from repro.cluster.partition import Partitioner
 from repro.net.payload import (
+    AbortRequest,
     CommitTxn,
     CommitTxnReason,
     DecisionEvent,
     DecisionEventReason,
+    Payload,
 )
 from repro.net.probing import ProbeTargetMixin
 from repro.obs.abort import AbortReason, reason_value
@@ -76,12 +78,12 @@ class CarouselCoordinator(ProbeTargetMixin, RaftReplica):
     # ------------------------------------------------------------------
     # Client messages
 
-    def handle_commit_request(self, payload: dict, src: str) -> None:
-        state = self.txn_state(payload["txn"])
-        state.client = payload["client"]
-        state.participants = payload["participants"]
-        state.writes = payload["writes"]
-        state.skip_prepare_wait = payload.get("fast_path", False)
+    def handle_commit_request(self, payload: Payload, src: str) -> None:
+        state = self.txn_state(payload.txn)
+        state.client = payload.client
+        state.participants = payload.participants
+        state.writes = payload.writes
+        state.skip_prepare_wait = payload.fast_path
         if state.decided is not None:
             # Already aborted by an early no-vote; the client has been
             # (or is being) notified via the decision event.
@@ -90,11 +92,11 @@ class CarouselCoordinator(ProbeTargetMixin, RaftReplica):
             lambda _: self._writes_durable(state)
         )
 
-    def handle_abort_request(self, payload: dict, src: str) -> None:
+    def handle_abort_request(self, payload: AbortRequest, src: str) -> None:
         """Client-initiated abort (2FI permits aborting after reads)."""
-        state = self.txn_state(payload["txn"])
-        state.client = payload["client"]
-        state.participants = payload["participants"]
+        state = self.txn_state(payload.txn)
+        state.client = payload.client
+        state.participants = payload.participants
         if state.decided is None:
             state.abort_reason = str(AbortReason.VOLUNTARY)
             self._decide(state, False)
@@ -106,19 +108,19 @@ class CarouselCoordinator(ProbeTargetMixin, RaftReplica):
     # ------------------------------------------------------------------
     # Participant votes
 
-    def handle_vote(self, payload: dict, src: str) -> None:
-        state = self.txn_state(payload["txn"])
+    def handle_vote(self, payload: Payload, src: str) -> None:
+        state = self.txn_state(payload.txn)
         if state.client is None:
-            state.client = payload["client"]
+            state.client = payload.client
         if state.participants is None:
-            state.participants = payload["participants"]
+            state.participants = payload.participants
         if state.decided is not None:
             return
-        if payload["vote"] == "no":
-            state.abort_reason = payload.get("reason")
+        if payload.vote == "no":
+            state.abort_reason = payload.reason
             self._decide(state, False)
             return
-        state.votes[payload["partition"]] = "yes"
+        state.votes[payload.partition] = "yes"
         self._try_decide(state)
 
     def _vote_ready(self, state: CoordinatedTxn, partition: int) -> bool:

@@ -26,6 +26,7 @@ from repro.net.payload import (
     CarouselReadAndPrepare,
     FastCommitRequest,
     FastOutcome,
+    Payload,
     ReadOk,
 )
 from repro.obs.abort import AbortReason
@@ -53,15 +54,17 @@ class FastParticipant(CarouselParticipant):
         self._fast_tombstones: set = set()
         self._replica_seen: set = set()
 
-    def handle_read_and_prepare_replica(self, payload: dict, src: str) -> dict:
+    def handle_read_and_prepare_replica(
+        self, payload: CarouselReadAndPrepare, src: str
+    ) -> Payload:
         """Follower vote: OCC over the follower's own (lagging) state."""
-        txn = payload["txn"]
+        txn = payload.txn
         if txn in self._fast_tombstones:
             self._fast_tombstones.discard(txn)
             return self._refusal(txn, AbortReason.PREEMPTED)
         self._replica_seen.add(txn)
-        reads = payload["reads"]
-        writes = payload["writes"]
+        reads = payload.reads
+        writes = payload.writes
         if not self.prepared.is_free(reads, writes):
             self.prepares_refused += 1
             return self._refusal(txn, AbortReason.OCC_CONFLICT)
@@ -70,11 +73,11 @@ class FastParticipant(CarouselParticipant):
         values = {key: self.store.read(key).value for key in reads}
         return ReadOk(values)
 
-    def handle_fast_outcome(self, payload: dict, src: str) -> None:
+    def handle_fast_outcome(self, payload: FastOutcome, src: str) -> None:
         """Abort notification for follower-held prepared marks."""
-        if payload["decision"]:
+        if payload.decision:
             return
-        txn = payload["txn"]
+        txn = payload.txn
         if txn in self.prepared:
             self.release(txn)
         elif txn not in self._replica_seen:
@@ -144,12 +147,12 @@ class CarouselFast(CarouselBasic):
 
         decision = Future()
 
-        def on_event(payload: dict, src: str) -> None:
-            if payload["kind"] != "decision":
+        def on_event(payload: Payload, src: str) -> None:
+            if payload.kind != "decision":
                 return
-            if not payload["committed"]:
-                client.note_abort(aid, payload.get("reason"))
-            decision.try_set_result(payload["committed"])
+            if not payload.committed:
+                client.note_abort(aid, payload.reason)
+            decision.try_set_result(payload.committed)
 
         client.register_attempt(aid, on_event)
         try:
@@ -182,19 +185,19 @@ class CarouselFast(CarouselBasic):
             leader_values: Dict[str, str] = {}
             unanimous = True
             for (pid, is_leader), reply in zip(call_meta, replies):
-                if not reply["ok"]:
+                if not reply.ok:
                     unanimous = False
                 if is_leader:
-                    leader_ok[pid] = reply["ok"]
-                    if reply["ok"]:
-                        leader_values.update(reply["values"])
+                    leader_ok[pid] = reply.ok
+                    if reply.ok:
+                        leader_values.update(reply.values)
             if not all(leader_ok.values()):
                 # A leader refused: abort (its no-vote triggers cleanup);
                 # follower marks are cleared by the coordinator's
                 # fast_outcome fan-out when it decides the abort.
                 for (pid, is_leader), reply in zip(call_meta, replies):
-                    if is_leader and not reply["ok"]:
-                        client.note_abort(aid, reply.get("reason"))
+                    if is_leader and not reply.ok:
+                        client.note_abort(aid, reply.reason)
                         break
                 return False
             writes = spec.make_writes(leader_values)

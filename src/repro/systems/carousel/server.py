@@ -24,7 +24,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.net.payload import ReadOk, Refusal, VoteReason
+from repro.net.payload import (
+    CarouselReadAndPrepare,
+    Payload,
+    ReadOk,
+    Refusal,
+    VoteReason,
+)
 from repro.net.probing import ProbeTargetMixin
 from repro.obs.abort import AbortReason, reason_value
 from repro.raft.node import RaftReplica
@@ -56,14 +62,16 @@ class CarouselParticipant(ProbeTargetMixin, RaftReplica):
     # ------------------------------------------------------------------
     # Read-and-prepare (round 1)
 
-    def handle_read_and_prepare(self, payload: dict, src: str) -> dict:
-        txn = payload["txn"]
+    def handle_read_and_prepare(
+        self, payload: CarouselReadAndPrepare, src: str
+    ) -> Payload:
+        txn = payload.txn
         if txn in self._abort_tombstones:
             reason = self._abort_tombstones.pop(txn)
             return self._refusal(txn, reason)
         self._rap_seen.add(txn)
-        reads = payload["reads"]
-        writes = payload["writes"]
+        reads = payload.reads
+        writes = payload.writes
         if not self.prepared.is_free(reads, writes):
             self.prepares_refused += 1
             self._vote(payload, "no", reason=AbortReason.OCC_CONFLICT)
@@ -71,9 +79,9 @@ class CarouselParticipant(ProbeTargetMixin, RaftReplica):
         self.prepares_ok += 1
         self.prepared.add(txn, reads, writes)
         self.txn_meta[txn] = {
-            "coordinator": payload["coordinator"],
-            "client": payload["client"],
-            "participants": payload["participants"],
+            "coordinator": payload.coordinator,
+            "client": payload.client,
+            "participants": payload.participants,
         }
         values = {key: self.store.read(key).value for key in reads}
         self.propose(("prepare", txn)).add_done_callback(
@@ -91,14 +99,14 @@ class CarouselParticipant(ProbeTargetMixin, RaftReplica):
     def _vote(self, payload, vote: str, reason=None) -> None:
         self._network.send(
             self,
-            payload["coordinator"],
+            payload.coordinator,
             "vote",
             VoteReason(
-                payload["txn"],
+                payload.txn,
                 self.group_partition_id(),
                 vote,
-                payload["participants"],
-                payload["client"],
+                payload.participants,
+                payload.client,
                 reason_value(reason) if reason is not None else None,
             ),
         )
@@ -110,14 +118,14 @@ class CarouselParticipant(ProbeTargetMixin, RaftReplica):
     # ------------------------------------------------------------------
     # Commit / abort (2PC outcome)
 
-    def handle_commit_txn(self, payload: dict, src: str) -> None:
-        txn = payload["txn"]
-        if not payload["decision"]:
+    def handle_commit_txn(self, payload: Payload, src: str) -> None:
+        txn = payload.txn
+        if not payload.decision:
             if txn not in self.prepared and txn not in self._rap_seen:
-                self._abort_tombstones[txn] = payload.get("reason")
+                self._abort_tombstones[txn] = payload.reason
             self.release(txn)
             return
-        writes = payload.get("writes") or {}
+        writes = payload.writes or {}
         if txn not in self.prepared:
             # Commit for a transaction we never prepared (we voted no in
             # a race the coordinator lost) cannot happen: the coordinator

@@ -25,6 +25,7 @@ from typing import Callable, Dict, Generator, Optional
 
 from repro.cluster.node import Node
 from repro.net.network import Network
+from repro.net.payload import Payload
 from repro.obs.abort import reason_value
 from repro.sim import Simulator
 from repro.txn.stats import StatsCollector, TxnOutcome, TxnRecord
@@ -194,14 +195,14 @@ class ClientDriver(Node):
     # Asynchronous per-attempt events
 
     def register_attempt(
-        self, attempt_id: str, handler: Callable[[dict, str], None]
+        self, attempt_id: str, handler: Callable[[Payload, str], None]
     ) -> None:
         self._event_handlers[attempt_id] = handler
 
     def unregister_attempt(self, attempt_id: str) -> None:
         self._event_handlers.pop(attempt_id, None)
 
-    def handle_txn_event(self, payload: dict, src: str) -> None:
-        handler = self._event_handlers.get(payload.get("txn"))
+    def handle_txn_event(self, payload: Payload, src: str) -> None:
+        handler = self._event_handlers.get(payload.txn)
         if handler is not None:
             handler(payload, src)

@@ -17,6 +17,12 @@ from repro.cluster.node import Node
 from repro.net.payload import (
     TAPIR_ACK,
     TAPIR_VOTE_OK,
+    Payload,
+    TapirAbort,
+    TapirCommit,
+    TapirFinalize,
+    TapirPrepare,
+    TapirRead,
     TapirReadResult,
     TapirVoteAbort,
 )
@@ -39,9 +45,11 @@ class TapirReplica(Node):
     # ------------------------------------------------------------------
     # Reads (unreplicated operation: any single replica serves them)
 
-    def handle_tapir_read(self, payload, src: str) -> TapirReadResult:
+    def handle_tapir_read(
+        self, payload: TapirRead, src: str
+    ) -> TapirReadResult:
         values = {}
-        for key in payload["keys"]:
+        for key in payload.keys:
             versioned = self.store.read(key)
             values[key] = (versioned.value, versioned.version)
         return TapirReadResult(values)
@@ -49,11 +57,11 @@ class TapirReplica(Node):
     # ------------------------------------------------------------------
     # Prepare (consensus operation: client collects a quorum)
 
-    def handle_tapir_prepare(self, payload: dict, src: str) -> dict:
-        txn = payload["txn"]
-        read_versions: Dict[str, int] = payload["read_versions"]
+    def handle_tapir_prepare(self, payload: TapirPrepare, src: str) -> Payload:
+        txn = payload.txn
+        read_versions: Dict[str, int] = payload.read_versions
         reads = list(read_versions)
-        writes = payload["write_keys"]
+        writes = payload.write_keys
         if txn in self.prepared:
             return TAPIR_VOTE_OK  # duplicate (finalize raced the prepare)
         for key, version in read_versions.items():
@@ -73,17 +81,19 @@ class TapirReplica(Node):
             obs.tracer.refuse(reason, node=self.name, txn=txn)
         return TapirVoteAbort(str(reason))
 
-    def handle_tapir_finalize(self, payload: dict, src: str) -> dict:
+    def handle_tapir_finalize(
+        self, payload: TapirFinalize, src: str
+    ) -> Payload:
         """Slow path: the client's majority decision is installed."""
-        txn = payload["txn"]
-        if payload["decision"] == "ok":
+        txn = payload.txn
+        if payload.decision == "ok":
             if txn not in self.prepared:
                 # Forced by consensus: record the prepare even if this
                 # replica's lone vote differed.
                 self.prepared.add(
                     txn,
-                    list(payload["read_versions"]),
-                    payload["write_keys"],
+                    list(payload.read_versions),
+                    payload.write_keys,
                 )
         else:
             self.prepared.remove(txn)
@@ -92,10 +102,10 @@ class TapirReplica(Node):
     # ------------------------------------------------------------------
     # Outcome (inconsistent operations: asynchronous, no quorum wait)
 
-    def handle_tapir_commit(self, payload: dict, src: str) -> None:
-        txn = payload["txn"]
-        self.store.apply_writes(payload["writes"], txn)
+    def handle_tapir_commit(self, payload: TapirCommit, src: str) -> None:
+        txn = payload.txn
+        self.store.apply_writes(payload.writes, txn)
         self.prepared.remove(txn)
 
-    def handle_tapir_abort(self, payload: dict, src: str) -> None:
-        self.prepared.remove(payload["txn"])
+    def handle_tapir_abort(self, payload: TapirAbort, src: str) -> None:
+        self.prepared.remove(payload.txn)

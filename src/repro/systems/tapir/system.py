@@ -105,7 +105,7 @@ class Tapir(TransactionSystem):
         read_values: Dict[str, str] = {}
         read_versions: Dict[str, int] = {}
         for reply in read_replies:
-            for key, (value, version) in reply["values"].items():
+            for key, (value, version) in reply.values.items():
                 read_values[key] = value
                 read_versions[key] = version
 
@@ -133,9 +133,9 @@ class Tapir(TransactionSystem):
         votes_by_pid: Dict[int, List[str]] = {pid: [] for pid in participants}
         abort_reason = None
         for pid, reply in zip(call_pids, replies):
-            votes_by_pid[pid].append(reply["vote"])
-            if reply["vote"] == "abort" and abort_reason is None:
-                abort_reason = reply.get("reason")
+            votes_by_pid[pid].append(reply.vote)
+            if reply.vote == "abort" and abort_reason is None:
+                abort_reason = reply.reason
 
         decisions: Dict[int, str] = {}
         slow_path_pids = []

@@ -22,7 +22,17 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Set
 
-from repro.net.payload import ReadOk, Refusal, Vote, VoteReason, WoundEvent
+from repro.net.payload import (
+    LockRead,
+    Payload,
+    ReadOk,
+    Refusal,
+    ReleaseLocks,
+    TwoPLPrepare,
+    Vote,
+    VoteReason,
+    WoundEvent,
+)
 from repro.net.probing import ProbeTargetMixin
 from repro.obs.abort import AbortReason
 from repro.raft.node import RaftReplica
@@ -54,19 +64,19 @@ class TwoPLParticipant(ProbeTargetMixin, RaftReplica):
     # ------------------------------------------------------------------
     # Phase 1: locks + reads
 
-    def handle_lock_read(self, payload: dict, src: str) -> Future:
-        txn = payload["txn"]
-        reads = payload["reads"]
-        writes = payload["writes"]
+    def handle_lock_read(self, payload: LockRead, src: str) -> Future:
+        txn = payload.txn
+        reads = payload.reads
+        writes = payload.writes
         key_modes = {key: LockMode.SHARED for key in reads}
         key_modes.update({key: LockMode.EXCLUSIVE for key in writes})
         reply: Future = Future()
         self.txn_meta[txn] = {
-            "client": payload["client"],
-            "coordinator": payload["coordinator"],
-            "participants": payload["participants"],
-            "timestamp": payload["ts"],
-            "priority": Priority(payload["priority"]),
+            "client": payload.client,
+            "coordinator": payload.coordinator,
+            "participants": payload.participants,
+            "timestamp": payload.ts,
+            "priority": Priority(payload.priority),
             "reads": reads,
             "reply": reply,
         }
@@ -78,8 +88,8 @@ class TwoPLParticipant(ProbeTargetMixin, RaftReplica):
         request = LockRequest(
             txn_id=txn,
             key_modes=key_modes,
-            timestamp=payload["ts"],
-            priority=int(payload["priority"]),
+            timestamp=payload.ts,
+            priority=int(payload.priority),
         )
         request.future.add_done_callback(lambda _: self._locks_granted(txn))
         self.locks.request(request)
@@ -132,9 +142,9 @@ class TwoPLParticipant(ProbeTargetMixin, RaftReplica):
                 WoundEvent(victim, txn),
             )
 
-    def handle_release_locks(self, payload: dict, src: str) -> None:
+    def handle_release_locks(self, payload: ReleaseLocks, src: str) -> None:
         """Victim client gave up this attempt; free everything here."""
-        txn = payload["txn"]
+        txn = payload.txn
         meta = self.txn_meta.pop(txn, None)
         if meta is not None:
             span = meta.pop("lock_span", None)
@@ -152,8 +162,8 @@ class TwoPLParticipant(ProbeTargetMixin, RaftReplica):
     # ------------------------------------------------------------------
     # Phase 2: 2PC
 
-    def handle_twopl_prepare(self, payload: dict, src: str) -> None:
-        txn = payload["txn"]
+    def handle_twopl_prepare(self, payload: TwoPLPrepare, src: str) -> None:
+        txn = payload.txn
         meta = self.txn_meta.get(txn)
         if meta is None:
             # The transaction released (wound raced the prepare); tell
@@ -165,20 +175,20 @@ class TwoPLParticipant(ProbeTargetMixin, RaftReplica):
                 )
             self._network.send(
                 self,
-                payload["coordinator"],
+                payload.coordinator,
                 "vote",
                 VoteReason(
                     txn,
                     self.group_partition_id(),
                     "no",
-                    payload["participants"],
-                    payload["client"],
+                    payload.participants,
+                    payload.client,
                     str(AbortReason.PREEMPTED),
                 ),
             )
             return
         meta["prepared"] = True
-        self.propose(("prepare", txn, payload["writes"])).add_done_callback(
+        self.propose(("prepare", txn, payload.writes)).add_done_callback(
             lambda _: self._network.send(
                 self,
                 meta["coordinator"],
@@ -196,10 +206,10 @@ class TwoPLParticipant(ProbeTargetMixin, RaftReplica):
     def group_partition_id(self) -> int:
         return int(self.name.split("-")[0][1:])
 
-    def handle_commit_txn(self, payload: dict, src: str) -> None:
-        txn = payload["txn"]
-        if not payload["decision"]:
-            self.handle_release_locks({"txn": txn}, src)
+    def handle_commit_txn(self, payload: Payload, src: str) -> None:
+        txn = payload.txn
+        if not payload.decision:
+            self.handle_release_locks(ReleaseLocks(txn), src)
             return
         self.propose(("commit", txn)).add_done_callback(
             lambda _: self._finish_commit(txn)

@@ -19,6 +19,7 @@ from typing import Dict, Generator
 from repro.net.payload import (
     CommitRequest,
     LockRead,
+    Payload,
     ReleaseLocks,
     TwoPLPrepare,
 )
@@ -113,14 +114,14 @@ class TwoPL(TransactionSystem):
         wounded = Future()
         decision = Future()
 
-        def on_event(payload: dict, src: str) -> None:
-            if payload["kind"] == "wound":
+        def on_event(payload: Payload, src: str) -> None:
+            if payload.kind == "wound":
                 client.note_abort(aid, AbortReason.PREEMPTED)
                 wounded.try_set_result(True)
-            elif payload["kind"] == "decision":
-                if not payload["committed"]:
-                    client.note_abort(aid, payload.get("reason"))
-                decision.try_set_result(payload["committed"])
+            elif payload.kind == "decision":
+                if not payload.committed:
+                    client.note_abort(aid, payload.reason)
+                decision.try_set_result(payload.committed)
 
         client.register_attempt(aid, on_event)
         try:
@@ -148,18 +149,18 @@ class TwoPL(TransactionSystem):
             outcome = yield any_of([read_calls, wounded])
             if wounded.done or (
                 isinstance(outcome, list)
-                and not all(r["ok"] for r in outcome)
+                and not all(r.ok for r in outcome)
             ):
                 if not wounded.done and isinstance(outcome, list):
                     for reply in outcome:
-                        if not reply["ok"]:
-                            client.note_abort(aid, reply.get("reason"))
+                        if not reply.ok:
+                            client.note_abort(aid, reply.reason)
                             break
                 self._release_everywhere(client, aid, participants)
                 return False
             read_values: Dict[str, str] = {}
             for reply in outcome:
-                read_values.update(reply["values"])
+                read_values.update(reply.values)
 
             writes = spec.make_writes(read_values)
             if writes is None:

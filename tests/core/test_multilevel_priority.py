@@ -13,6 +13,8 @@ from repro.raft.node import RaftConfig
 from repro.sim import Simulator
 from repro.txn.priority import Priority
 
+from tests.core import test_natto_server_unit as server_unit
+
 
 def build(config):
     sim = Simulator()
@@ -30,31 +32,15 @@ def build(config):
     server.current_term = 1
     server.become_leader()
 
-    class Sink:
-        pass
-
-    from tests.core.test_natto_server_unit import Recorder
-
-    client = Recorder(sim, "client")
-    coord = Recorder(sim, "coord")
+    client = server_unit.Recorder(sim, "client")
+    coord = server_unit.Recorder(sim, "coord")
     net.register(client)
     net.register(coord)
     return sim, server, client, coord
 
 
 def rap(txn, ts, priority, keys=("k",)):
-    return {
-        "txn": txn,
-        "ts": ts,
-        "priority": int(priority),
-        "full_reads": list(keys),
-        "full_writes": list(keys),
-        "coordinator": "coord",
-        "client": "client",
-        "participants": [0],
-        "arrival_estimates": {0: ts},
-        "max_owd": 0.05,
-    }
+    return server_unit.rap(txn, ts, int(priority), keys)
 
 
 def test_priority_order():
@@ -86,8 +72,8 @@ def test_high_evicts_medium_and_low_in_queue():
     )
     server.handle_read_and_prepare(rap("thigh", 0.22, Priority.HIGH), "client")
     assert server.stats["priority_aborts"] == 2
-    assert r_low.value["ok"] is False
-    assert r_mid.value["ok"] is False
+    assert r_low.value.ok is False
+    assert r_mid.value.ok is False
     assert [t.txn for t in server.queue] == ["thigh"]
 
 
@@ -99,7 +85,7 @@ def test_medium_evicts_low_but_not_high():
     server.handle_read_and_prepare(rap("thigh", 0.21, Priority.HIGH), "client")
     server.handle_read_and_prepare(rap("tmid", 0.22, Priority.MEDIUM), "client")
     # tlow evicted (by high and/or medium); thigh untouched; tmid queued.
-    assert r_low.value["ok"] is False
+    assert r_low.value.ok is False
     assert [t.txn for t in server.queue] == ["thigh", "tmid"]
 
 
@@ -109,7 +95,7 @@ def test_arriving_low_yields_to_queued_medium():
     r_low = server.handle_read_and_prepare(
         rap("tlow", 0.29, Priority.LOW), "client"
     )
-    assert r_low.value["ok"] is False  # priority-aborted on arrival
+    assert r_low.value.ok is False  # priority-aborted on arrival
     assert server.stats["priority_aborts"] == 1
 
 

@@ -4,6 +4,15 @@ from repro.cluster.node import Node
 from repro.cluster.partition import Partitioner
 from repro.core.coordinator import NattoCoordinator
 from repro.net.network import Network
+from repro.net.payload import (
+    ConditionResolved,
+    DecisionEvent,
+    NattoCommitRequest,
+    NattoVoteYes,
+    PartitionValuesEvent,
+    RecsfForward,
+    VoteReason,
+)
 from repro.net.topology import azure_topology
 from repro.raft.node import RaftConfig
 from repro.sim import Simulator
@@ -48,35 +57,34 @@ def build():
 
 
 def vote(coord, txn, pid, epoch=0, conditional=None, vote="yes"):
-    coord.handle_vote(
-        {
-            "txn": txn,
-            "partition": pid,
-            "vote": vote,
-            "epoch": epoch,
-            "conditional": conditional,
-            "participants": [0, 1],
-            "client": "client",
-        },
-        "leaderX",
-    )
+    if vote == "yes":
+        payload = NattoVoteYes(
+            txn, pid, vote, epoch, conditional, [0, 1], "client"
+        )
+    else:
+        payload = VoteReason(txn, pid, vote, [0, 1], "client", None)
+    coord.handle_vote(payload, "leaderX")
 
 
 def commit_request(coord, txn, epochs):
     coord.handle_commit_request(
-        {
-            "txn": txn,
-            "client": "client",
-            "participants": [0, 1],
-            "writes": {"k": "v"},
-            "epochs": epochs,
-        },
+        NattoCommitRequest(txn, "client", [0, 1], {"k": "v"}, epochs),
         "client",
     )
 
 
+def forward_t1_to_t2(coord):
+    coord.handle_recsf_forward(
+        RecsfForward("t1", "t2", "client", 0, ["k"]), "leader0"
+    )
+
+
 def decisions(client):
-    return [e for e in client.events if e.get("kind") == "decision"]
+    return [e for e in client.events if e.kind == "decision"]
+
+
+def recsf_reads(client):
+    return [e for e in client.events if e.kind == "recsf_reads"]
 
 
 def test_commits_when_all_votes_firm_and_epochs_match():
@@ -85,9 +93,7 @@ def test_commits_when_all_votes_firm_and_epochs_match():
     vote(coord, "t1", 1)
     commit_request(coord, "t1", {0: 0, 1: 0})
     sim.run(until=1.0)
-    assert decisions(client) == [
-        {"txn": "t1", "kind": "decision", "committed": True}
-    ]
+    assert decisions(client) == [DecisionEvent("t1", True)]
 
 
 def test_conditional_vote_blocks_commit_until_resolved():
@@ -98,10 +104,10 @@ def test_conditional_vote_blocks_commit_until_resolved():
     sim.run(until=1.0)
     assert decisions(client) == []  # waiting on the condition
     coord.handle_condition_resolved(
-        {"txn": "t1", "partition": 1, "ok": True, "epoch": 0}, "leader1"
+        ConditionResolved("t1", 1, True, 0), "leader1"
     )
     sim.run(until=2.0)
-    assert decisions(client)[0]["committed"] is True
+    assert decisions(client)[0].committed is True
 
 
 def test_failed_condition_discards_vote_and_waits_for_new_epoch():
@@ -110,7 +116,7 @@ def test_failed_condition_discards_vote_and_waits_for_new_epoch():
     vote(coord, "t1", 1, conditional=["blocker"])
     commit_request(coord, "t1", {0: 0, 1: 0})
     coord.handle_condition_resolved(
-        {"txn": "t1", "partition": 1, "ok": False, "epoch": 0}, "leader1"
+        ConditionResolved("t1", 1, False, 0), "leader1"
     )
     sim.run(until=1.0)
     assert decisions(client) == []
@@ -119,7 +125,7 @@ def test_failed_condition_discards_vote_and_waits_for_new_epoch():
     vote(coord, "t1", 1, epoch=1)
     commit_request(coord, "t1", {0: 0, 1: 1})
     sim.run(until=2.0)
-    assert decisions(client)[-1]["committed"] is True
+    assert decisions(client)[-1].committed is True
 
 
 def test_epoch_mismatch_blocks_commit():
@@ -133,60 +139,34 @@ def test_epoch_mismatch_blocks_commit():
     assert decisions(client) == []
     commit_request(coord, "t1", {0: 0, 1: 1})  # recomputed writes
     sim.run(until=2.0)
-    assert decisions(client)[-1]["committed"] is True
+    assert decisions(client)[-1].committed is True
 
 
 def test_no_vote_aborts_immediately():
     sim, coord, client = build()
     vote(coord, "t1", 0, vote="no")
     sim.run(until=1.0)
-    assert decisions(client) == [
-        {"txn": "t1", "kind": "decision", "committed": False}
-    ]
+    assert decisions(client) == [DecisionEvent("t1", False)]
 
 
 def test_recsf_forward_served_on_commit():
     sim, coord, client = build()
-    coord.handle_recsf_forward(
-        {
-            "txn": "t1",
-            "reader": "t2",
-            "reader_client": "client",
-            "partition": 0,
-            "keys": ["k"],
-        },
-        "leader0",
-    )
+    forward_t1_to_t2(coord)
     vote(coord, "t1", 0)
     vote(coord, "t1", 1)
     commit_request(coord, "t1", {0: 0, 1: 0})
     sim.run(until=1.0)
-    recsf = [e for e in client.events if e.get("kind") == "recsf_reads"]
-    assert recsf == [
-        {
-            "txn": "t2",
-            "kind": "recsf_reads",
-            "partition": 0,
-            "values": {"k": "v"},
-        }
+    assert recsf_reads(client) == [
+        PartitionValuesEvent("t2", "recsf_reads", 0, {"k": "v"})
     ]
 
 
 def test_recsf_forward_dropped_on_abort():
     sim, coord, client = build()
-    coord.handle_recsf_forward(
-        {
-            "txn": "t1",
-            "reader": "t2",
-            "reader_client": "client",
-            "partition": 0,
-            "keys": ["k"],
-        },
-        "leader0",
-    )
+    forward_t1_to_t2(coord)
     vote(coord, "t1", 0, vote="no")
     sim.run(until=1.0)
-    assert [e for e in client.events if e.get("kind") == "recsf_reads"] == []
+    assert recsf_reads(client) == []
 
 
 def test_recsf_forward_after_commit_served_immediately():
@@ -195,18 +175,9 @@ def test_recsf_forward_after_commit_served_immediately():
     vote(coord, "t1", 1)
     commit_request(coord, "t1", {0: 0, 1: 0})
     sim.run(until=1.0)
-    coord.handle_recsf_forward(
-        {
-            "txn": "t1",
-            "reader": "t2",
-            "reader_client": "client",
-            "partition": 0,
-            "keys": ["k"],
-        },
-        "leader0",
-    )
+    forward_t1_to_t2(coord)
     sim.run(until=2.0)
-    assert [e for e in client.events if e.get("kind") == "recsf_reads"]
+    assert recsf_reads(client)
 
 
 def test_rereplication_on_updated_writes():
@@ -218,5 +189,5 @@ def test_rereplication_on_updated_writes():
     vote(coord, "t1", 0)
     vote(coord, "t1", 1, epoch=1)
     sim.run(until=2.0)
-    assert decisions(client)[-1]["committed"] is True
+    assert decisions(client)[-1].committed is True
     assert getattr(coord.txn_state("t1"), "writes_version", 0) == 2

@@ -7,11 +7,12 @@ from repro.cluster.partition import Partitioner
 from repro.core.config import natto_ts
 from repro.core.server import NattoParticipant
 from repro.net.network import Network
+from repro.net.payload import CommitTxn
 from repro.net.topology import azure_topology
 from repro.raft.node import RaftConfig
 from repro.sim import Simulator
 
-from tests.core.test_natto_server_unit import Recorder
+from tests.core.test_natto_server_unit import Recorder, rap
 
 
 def build_server():
@@ -32,21 +33,6 @@ def build_server():
     net.register(Recorder(sim, "client"))
     net.register(Recorder(sim, "coord"))
     return sim, server
-
-
-def rap(txn, ts, priority, keys):
-    return {
-        "txn": txn,
-        "ts": ts,
-        "priority": priority,
-        "full_reads": list(keys),
-        "full_writes": list(keys),
-        "coordinator": "coord",
-        "client": "client",
-        "participants": [0],
-        "arrival_estimates": {0: ts},
-        "max_owd": 0.05,
-    }
 
 
 @given(
@@ -103,8 +89,7 @@ def test_no_arrival_pattern_wedges_the_server(specs):
     for _ in range(len(specs) + 1):
         for txn in sorted(server.prepared.txn_ids):
             server.handle_commit_txn(
-                {"txn": txn, "decision": True, "writes": {"hot": txn}},
-                "coord",
+                CommitTxn(txn, True, {"hot": txn}), "coord"
             )
         sim.run(until=sim.now + 1.0)
     assert all(r.done for r in replies)

@@ -14,6 +14,7 @@ from repro.cluster.placement import PartitionPlacement
 from repro.core.config import natto_cp, natto_recsf, natto_ts
 from repro.core.server import NattoParticipant
 from repro.net.network import Network
+from repro.net.payload import CommitTxn, NattoReadAndPrepare
 from repro.net.topology import azure_topology
 from repro.raft.node import RaftConfig
 from repro.sim import Simulator
@@ -85,29 +86,22 @@ K0 = key_on(0)          # a key on the server's own partition
 K7 = key_on(7, "r")     # a key on the "remote" partition 7
 
 
-def rap(txn, ts, priority, keys, arrival_estimates=None, max_owd=0.05):
-    return {
-        "txn": txn,
-        "ts": ts,
-        "priority": priority,
-        "full_reads": list(keys),
-        "full_writes": list(keys),
-        "coordinator": "coord",
-        "client": "client",
-        "participants": [0],
-        "arrival_estimates": arrival_estimates or {0: ts},
-        "max_owd": max_owd,
-    }
+def rap(txn, ts, priority, keys, arrival_estimates=None, max_owd=0.05,
+        participants=(0,)):
+    return NattoReadAndPrepare(
+        txn, ts, priority, list(keys), list(keys), "coord", "client",
+        list(participants), arrival_estimates or {0: ts}, max_owd,
+    )
 
 
 def test_prepare_serves_reads_and_votes_after_replication():
     sim, server, client, coord = build(natto_ts())
     reply = server.handle_read_and_prepare(rap("t1", 0.05, 0, [K0]), "client")
     sim.run(until=1.0)
-    assert reply.value["ok"] is True
-    assert K0 in reply.value["values"]
+    assert reply.value.ok is True
+    assert K0 in reply.value.values
     votes = coord.of_kind("vote")
-    assert votes and votes[0]["vote"] == "yes"
+    assert votes and votes[0].vote == "yes"
     assert "t1" in server.prepared
 
 
@@ -116,10 +110,10 @@ def test_low_priority_conflict_aborts_at_dispatch():
     server.handle_read_and_prepare(rap("t1", 0.05, 0, [K0]), "client")
     r2 = server.handle_read_and_prepare(rap("t2", 0.06, 0, [K0]), "client")
     sim.run(until=1.0)
-    assert r2.value["ok"] is False
+    assert r2.value.ok is False
     assert server.stats["occ_aborts"] == 1
-    no_votes = [v for v in coord.of_kind("vote") if v["vote"] == "no"]
-    assert [v["txn"] for v in no_votes] == ["t2"]
+    no_votes = [v for v in coord.of_kind("vote") if v.vote == "no"]
+    assert [v.txn for v in no_votes] == ["t2"]
 
 
 def test_high_priority_conflict_waits_then_prepares():
@@ -128,12 +122,11 @@ def test_high_priority_conflict_waits_then_prepares():
     r2 = server.handle_read_and_prepare(rap("t2", 0.06, 1, [K0]), "client")
     sim.run(until=1.0)
     assert not r2.done  # waiting, not aborted
-    server.handle_commit_txn({"txn": "t1", "decision": True,
-                              "writes": {K0: "v1"}}, "coord")
+    server.handle_commit_txn(CommitTxn("t1", True, {K0: "v1"}), "coord")
     sim.run(until=2.0)
-    assert r2.value["ok"] is True
+    assert r2.value.ok is True
     # Without LECSF the read must still see t1's committed write.
-    assert r2.value["values"][K0] == "v1"
+    assert r2.value.values[K0] == "v1"
 
 
 def test_late_high_priority_with_smaller_ts_conflict_aborts():
@@ -141,7 +134,7 @@ def test_late_high_priority_with_smaller_ts_conflict_aborts():
     server.handle_read_and_prepare(rap("t1", 0.01, 0, [K0]), "client")
     sim.run(until=0.5)  # t1 dispatched and prepared; clock now 0.5
     late = server.handle_read_and_prepare(rap("t2", 0.02, 1, [K0]), "client")
-    assert late.value["ok"] is False
+    assert late.value.ok is False
     assert server.stats["late_aborts"] == 1
 
 
@@ -152,7 +145,7 @@ def test_late_transaction_without_conflict_proceeds():
         rap("t1", 0.01, 1, [key_on(0, "solo")]), "client"
     )
     sim.run(until=1.0)
-    assert late.value["ok"] is True
+    assert late.value.ok is True
 
 
 def test_late_low_priority_aborts_if_larger_ts_conflict_dispatched():
@@ -160,19 +153,18 @@ def test_late_low_priority_aborts_if_larger_ts_conflict_dispatched():
     server.handle_read_and_prepare(rap("t2", 0.01, 0, [K0]), "client")
     sim.run(until=0.5)  # t2 (ts 0.01) prepared
     late = server.handle_read_and_prepare(rap("t1", 0.005, 0, [K0]), "client")
-    assert late.value["ok"] is False
+    assert late.value.ok is False
     assert server.stats["late_aborts"] == 1
 
 
 def test_abort_tombstone_refuses_reordered_request():
     sim, server, client, coord = build(natto_ts())
     # The abort decision arrives before the read-and-prepare.
-    server.handle_commit_txn({"txn": "ghost", "decision": False,
-                              "writes": None}, "coord")
+    server.handle_commit_txn(CommitTxn("ghost", False, None), "coord")
     reply = server.handle_read_and_prepare(
         rap("ghost", 0.05, 0, [K0]), "client"
     )
-    assert reply.value["ok"] is False
+    assert reply.value.ok is False
     assert server.queue == []
     assert "ghost" not in server.prepared
 
@@ -180,64 +172,56 @@ def test_abort_tombstone_refuses_reordered_request():
 def test_conditional_prepare_failure_falls_back_to_normal_path():
     sim, server, client, coord = build(natto_cp())
     # tlow prepared here; its participants include remote partition 7.
-    low = rap("tlow", 0.01, 0, [K0, K7])
-    low["participants"] = [0, 7]
-    low["arrival_estimates"] = {0: 0.01, 7: 0.01}
+    low = rap("tlow", 0.01, 0, [K0, K7], {0: 0.01, 7: 0.01},
+              participants=[0, 7])
     server.handle_read_and_prepare(low, "client")
     sim.run(until=0.1)
     assert "tlow" in server.prepared
 
     # thigh conflicts here and at "partition 7"; its estimates claim it
     # reaches 7 before tlow's timestamp -> predicted priority abort.
-    high = rap("thigh", 0.12, 1, [K0, K7])
-    high["participants"] = [0, 7]
-    high["arrival_estimates"] = {0: 0.12, 7: 0.005}
+    high = rap("thigh", 0.12, 1, [K0, K7], {0: 0.12, 7: 0.005},
+               participants=[0, 7])
     reply = server.handle_read_and_prepare(high, "client")
     sim.run(until=0.3)
     assert server.stats["conditional_prepares"] == 1
-    assert reply.value["epoch"] == 0
-    cond_votes = [v for v in coord.of_kind("vote") if v.get("conditional")]
-    assert cond_votes and cond_votes[0]["txn"] == "thigh"
+    assert reply.value.epoch == 0
+    cond_votes = [v for v in coord.of_kind("vote") if v.conditional]
+    assert cond_votes and cond_votes[0].txn == "thigh"
 
     # The prediction was wrong: tlow COMMITS.
-    server.handle_commit_txn(
-        {"txn": "tlow", "decision": True, "writes": {K0: "vlow"}}, "coord"
-    )
+    server.handle_commit_txn(CommitTxn("tlow", True, {K0: "vlow"}), "coord")
     sim.run(until=0.6)
     assert server.stats["conditions_failed"] == 1
     resolved = coord.of_kind("condition_resolved")
-    assert resolved and resolved[0]["ok"] is False
+    assert resolved and resolved[0].ok is False
     # Normal path re-prepared thigh with a bumped epoch and fresh reads.
-    events = [p for p in client.of_kind("txn_event") if p["kind"] == "reads"]
-    assert events and events[-1]["epoch"] == 1
-    assert events[-1]["values"][K0] == "vlow"  # post-tlow state
+    events = [p for p in client.of_kind("txn_event") if p.kind == "reads"]
+    assert events and events[-1].epoch == 1
+    assert events[-1].values[K0] == "vlow"  # post-tlow state
     epoch1_votes = [
         v for v in coord.of_kind("vote")
-        if v["txn"] == "thigh" and v.get("epoch") == 1
+        if v.txn == "thigh" and v.epoch == 1
     ]
-    assert epoch1_votes and not epoch1_votes[0].get("conditional")
+    assert epoch1_votes and not epoch1_votes[0].conditional
 
 
 def test_conditional_prepare_success_upgrades_in_place():
     sim, server, client, coord = build(natto_cp())
-    low = rap("tlow", 0.01, 0, [K0, K7])
-    low["participants"] = [0, 7]
-    low["arrival_estimates"] = {0: 0.01, 7: 0.01}
+    low = rap("tlow", 0.01, 0, [K0, K7], {0: 0.01, 7: 0.01},
+              participants=[0, 7])
     server.handle_read_and_prepare(low, "client")
     sim.run(until=0.1)
-    high = rap("thigh", 0.12, 1, [K0, K7])
-    high["participants"] = [0, 7]
-    high["arrival_estimates"] = {0: 0.12, 7: 0.005}
+    high = rap("thigh", 0.12, 1, [K0, K7], {0: 0.12, 7: 0.005},
+               participants=[0, 7])
     server.handle_read_and_prepare(high, "client")
     sim.run(until=0.3)
     # The prediction was right: tlow ABORTS (priority abort elsewhere).
-    server.handle_commit_txn(
-        {"txn": "tlow", "decision": False, "writes": None}, "coord"
-    )
+    server.handle_commit_txn(CommitTxn("tlow", False, None), "coord")
     sim.run(until=0.6)
     assert server.stats["conditions_ok"] == 1
     resolved = coord.of_kind("condition_resolved")
-    assert resolved and resolved[0]["ok"] is True
+    assert resolved and resolved[0].ok is True
     assert "thigh" in server.prepared
     assert server.waiting == []
 
@@ -251,9 +235,9 @@ def test_recsf_forward_sent_for_blocked_high_priority():
     sim.run(until=0.3)
     forwards = coord.of_kind("recsf_forward")
     assert forwards
-    assert forwards[0]["txn"] == "tlow"
-    assert forwards[0]["reader"] == "thigh"
-    assert forwards[0]["keys"] == [K0]
+    assert forwards[0].txn == "tlow"
+    assert forwards[0].reader == "thigh"
+    assert forwards[0].keys == [K0]
 
 
 def test_queue_dispatches_in_timestamp_order_not_arrival_order():
@@ -278,7 +262,7 @@ def test_priority_abort_on_queue_insert():
     r_low = server.handle_read_and_prepare(rap("tlow", 0.20, 0, [K0]), "client")
     server.handle_read_and_prepare(rap("thigh", 0.21, 1, [K0]), "client")
     assert server.stats["priority_aborts"] == 1
-    assert r_low.value["ok"] is False
+    assert r_low.value.ok is False
     assert [t.txn for t in server.queue] == ["thigh"]
 
 
@@ -289,12 +273,12 @@ def test_arriving_low_yields_to_queued_higher_priority():
     # yield branch of PA, which scans queue then waiting).
     server.handle_read_and_prepare(rap("thigh", 0.30, 1, [K0]), "client")
     r_low = server.handle_read_and_prepare(rap("tlow", 0.20, 0, [K0]), "client")
-    assert r_low.value["ok"] is False
+    assert r_low.value.ok is False
     assert server.stats["priority_aborts"] == 1
     assert [t.txn for t in server.queue] == ["thigh"]
     sim.run(until=0.1)  # deliver the no-vote to the coordinator
-    no_votes = [v for v in coord.of_kind("vote") if v["vote"] == "no"]
-    assert [v["txn"] for v in no_votes] == ["tlow"]
+    no_votes = [v for v in coord.of_kind("vote") if v.vote == "no"]
+    assert [v.txn for v in no_votes] == ["tlow"]
 
 
 def test_priority_abort_skip_rule_unit():

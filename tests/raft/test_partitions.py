@@ -4,11 +4,17 @@ The paper's experiments run failure-free, but the Raft substrate is a
 real consensus implementation; these tests exercise the failure
 behaviour the experiments rely on *not* needing: leader isolation,
 re-election on the majority side, step-down and log repair on heal.
+
+A partition is a fault schedule that blackholes every message to and
+from the isolated node.  The schedule is attached before the simulation
+reaches its start: attached at the current instant, its window opens
+only at the next ``sim.run``, and a proposal made in between escapes it.
 """
 
 import numpy as np
 
 from repro.cluster.placement import PartitionPlacement
+from repro.faults import FaultInjector, FaultSchedule, blackhole
 from repro.net import Network, local_cluster_topology
 from repro.raft import RaftConfig, ReplicationGroup, Role
 from repro.sim import Simulator
@@ -35,13 +41,23 @@ def settle(sim, until):
     sim.run(until=until)
 
 
+def isolate(sim, net, node, start, end):
+    """Drop every message to or from ``node`` from ``start`` to ``end``."""
+    duration = end - start
+    schedule = FaultSchedule((
+        blackhole(start, duration, node.name, "*"),
+        blackhole(start, duration, "*", node.name),
+    ))
+    FaultInjector(sim, net, schedule).attach()
+
+
 def test_majority_side_elects_new_leader_when_leader_isolated():
     sim, net, group = build()
     settle(sim, 2.0)
     (old_leader,) = leaders(group)
     others = [r for r in group.replicas if r is not old_leader]
 
-    net.partition({old_leader.name}, {r.name for r in others})
+    isolate(sim, net, old_leader, 2.0, 6.0)
     settle(sim, 6.0)
     majority_leaders = [r for r in others if r.role is Role.LEADER]
     assert len(majority_leaders) == 1
@@ -52,10 +68,7 @@ def test_isolated_leader_steps_down_on_heal():
     sim, net, group = build()
     settle(sim, 2.0)
     (old_leader,) = leaders(group)
-    others = [r for r in group.replicas if r is not old_leader]
-    net.partition({old_leader.name}, {r.name for r in others})
-    settle(sim, 6.0)
-    net.heal()
+    isolate(sim, net, old_leader, 2.0, 6.0)
     settle(sim, 10.0)
     assert old_leader.role is not Role.LEADER
     assert len(leaders(group)) == 1
@@ -67,12 +80,12 @@ def test_uncommitted_minority_entries_are_discarded_on_heal():
     (old_leader,) = leaders(group)
     others = [r for r in group.replicas if r is not old_leader]
 
+    isolate(sim, net, old_leader, 3.0, 9.0)
     # Commit one entry cluster-wide first.
     future = old_leader.propose("committed-before-partition")
     settle(sim, 3.0)
     assert future.done
 
-    net.partition({old_leader.name}, {r.name for r in others})
     # Old leader accepts a proposal it can never commit.
     orphan = old_leader.propose("orphaned")
     settle(sim, 7.0)
@@ -84,7 +97,6 @@ def test_uncommitted_minority_entries_are_discarded_on_heal():
     settle(sim, 9.0)
     assert replacement.done
 
-    net.heal()
     settle(sim, 15.0)
     # Log repair: every replica converges to the new leader's log; the
     # orphaned entry is gone.
@@ -99,8 +111,8 @@ def test_no_commit_possible_without_majority():
     sim, net, group = build()
     settle(sim, 2.0)
     (leader,) = leaders(group)
-    others = {r.name for r in group.replicas if r is not leader}
-    net.partition({leader.name}, others)
+    isolate(sim, net, leader, 3.0, 8.0)
+    settle(sim, 3.0)
     stranded = leader.propose("no-quorum")
     settle(sim, 8.0)
     assert not stranded.done
@@ -111,11 +123,8 @@ def test_cluster_survives_repeated_partitions():
     settle(sim, 2.0)
     for round_number in range(3):
         (leader,) = leaders(group)
-        others = {r.name for r in group.replicas if r is not leader}
-        net.partition({leader.name}, others)
-        settle(sim, sim.now + 4.0)
-        net.heal()
-        settle(sim, sim.now + 4.0)
+        isolate(sim, net, leader, sim.now, sim.now + 4.0)
+        settle(sim, sim.now + 8.0)  # 4 s isolated, then 4 s healed
     assert len(leaders(group)) == 1
     # And the healed cluster still commits.
     (leader,) = leaders(group)

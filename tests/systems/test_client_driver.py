@@ -1,6 +1,7 @@
 """Tests for the client driver's retry loop and event routing."""
 
 from repro.net.network import Network
+from repro.net.payload import DecisionEvent
 from repro.net.topology import azure_topology
 from repro.sim import Simulator
 from repro.systems.base import TransactionSystem
@@ -103,11 +104,11 @@ def test_event_routing_by_attempt_id():
     sim, client, stats = build(system)
     seen = []
     client.register_attempt("t1.0", lambda p, src: seen.append(p))
-    client.handle_txn_event({"txn": "t1.0", "kind": "x"}, "someone")
-    client.handle_txn_event({"txn": "other", "kind": "y"}, "someone")
-    assert seen == [{"txn": "t1.0", "kind": "x"}]
+    client.handle_txn_event(DecisionEvent("t1.0", True), "someone")
+    client.handle_txn_event(DecisionEvent("other", True), "someone")
+    assert seen == [DecisionEvent("t1.0", True)]
     client.unregister_attempt("t1.0")
-    client.handle_txn_event({"txn": "t1.0", "kind": "z"}, "someone")
+    client.handle_txn_event(DecisionEvent("t1.0", False), "someone")
     assert len(seen) == 1
 
 

@@ -2,6 +2,7 @@
 
 from repro.cluster.node import Node
 from repro.net.network import Network
+from repro.net.payload import CommitTxn, LockRead, ReleaseLocks, TwoPLPrepare
 from repro.net.topology import azure_topology
 from repro.raft.node import RaftConfig
 from repro.sim import Simulator
@@ -50,16 +51,8 @@ def build(policy=None):
 
 def lock_read(server, txn, ts, priority=0, reads=("k",), writes=("k",)):
     return server.handle_lock_read(
-        {
-            "txn": txn,
-            "reads": list(reads),
-            "writes": list(writes),
-            "ts": ts,
-            "priority": priority,
-            "client": "client",
-            "coordinator": "coord",
-            "participants": [0],
-        },
+        LockRead(txn, list(reads), list(writes), ts, priority, "client",
+                 "coord", [0]),
         "client",
     )
 
@@ -68,8 +61,8 @@ def test_uncontended_lock_read_returns_values():
     sim, server, client, coord = build()
     reply = lock_read(server, "t1", 1.0)
     sim.run(until=0.5)
-    assert reply.value["ok"] is True
-    assert "k" in reply.value["values"]
+    assert reply.value.ok is True
+    assert "k" in reply.value.values
 
 
 def test_younger_conflicting_txn_waits():
@@ -88,8 +81,8 @@ def test_older_requester_wounds_younger_holder():
     lock_read(server, "old", 1.0)
     sim.run(until=0.5)
     assert server.wounds_sent == 1
-    wounds = [p for p in client.of_kind("txn_event") if p["kind"] == "wound"]
-    assert wounds and wounds[0]["txn"] == "young"
+    wounds = [p for p in client.of_kind("txn_event") if p.kind == "wound"]
+    assert wounds and wounds[0].txn == "young"
 
 
 def test_release_locks_unblocks_waiter_and_fails_pending_read():
@@ -100,13 +93,13 @@ def test_release_locks_unblocks_waiter_and_fails_pending_read():
     sim.run(until=0.5)
     assert not waiting.done
     # The waiter's client gives up its attempt (wounded elsewhere).
-    server.handle_release_locks({"txn": "waiter"}, "client")
+    server.handle_release_locks(ReleaseLocks("waiter"), "client")
     sim.run(until=1.0)
-    assert waiting.value["ok"] is False  # the abandoned read resolved
+    assert waiting.value.ok is False  # the abandoned read resolved
     # Releasing the holder now grants the third directly.
-    server.handle_release_locks({"txn": "holder"}, "client")
+    server.handle_release_locks(ReleaseLocks("holder"), "client")
     sim.run(until=1.5)
-    assert third.value["ok"] is True
+    assert third.value.ok is True
 
 
 def test_prepare_replicates_writes_and_votes():
@@ -114,18 +107,11 @@ def test_prepare_replicates_writes_and_votes():
     lock_read(server, "t1", 1.0)
     sim.run(until=0.5)
     server.handle_twopl_prepare(
-        {
-            "txn": "t1",
-            "writes": {"k": "new"},
-            "coordinator": "coord",
-            "client": "client",
-            "participants": [0],
-        },
-        "client",
+        TwoPLPrepare("t1", {"k": "new"}, "coord", "client", [0]), "client"
     )
     sim.run(until=1.0)
     votes = coord.of_kind("vote")
-    assert votes and votes[0]["vote"] == "yes"
+    assert votes and votes[0].vote == "yes"
     assert server.pending_writes["t1"] == {"k": "new"}
 
 
@@ -134,17 +120,10 @@ def test_commit_applies_stashed_writes_and_releases():
     lock_read(server, "t1", 1.0)
     sim.run(until=0.5)
     server.handle_twopl_prepare(
-        {
-            "txn": "t1",
-            "writes": {"k": "new"},
-            "coordinator": "coord",
-            "client": "client",
-            "participants": [0],
-        },
-        "client",
+        TwoPLPrepare("t1", {"k": "new"}, "coord", "client", [0]), "client"
     )
     sim.run(until=1.0)
-    server.handle_commit_txn({"txn": "t1", "decision": True}, "coord")
+    server.handle_commit_txn(CommitTxn("t1", True, None), "coord")
     sim.run(until=2.0)
     assert server.store.read("k").value == "new"
     assert server.locks.request_of("t1") is None
@@ -156,18 +135,11 @@ def test_prepare_after_release_votes_no():
     coordinator aborts cleanly."""
     sim, server, client, coord = build()
     server.handle_twopl_prepare(
-        {
-            "txn": "ghost",
-            "writes": {"k": "x"},
-            "coordinator": "coord",
-            "client": "client",
-            "participants": [0],
-        },
-        "client",
+        TwoPLPrepare("ghost", {"k": "x"}, "coord", "client", [0]), "client"
     )
     sim.run(until=0.5)
     votes = coord.of_kind("vote")
-    assert votes and votes[0]["vote"] == "no"
+    assert votes and votes[0].vote == "no"
 
 
 def test_preempt_policy_wounds_low_priority_holder():
@@ -176,8 +148,8 @@ def test_preempt_policy_wounds_low_priority_holder():
     lock_read(server, "vip", 2.0, priority=2)  # younger but high priority
     sim.run(until=0.5)
     assert server.wounds_sent == 1
-    wounds = [p for p in client.of_kind("txn_event") if p["kind"] == "wound"]
-    assert wounds[0]["txn"] == "batch"
+    wounds = [p for p in client.of_kind("txn_event") if p.kind == "wound"]
+    assert wounds[0].txn == "batch"
 
 
 def test_wound_deduplicated_per_victim():
@@ -186,5 +158,5 @@ def test_wound_deduplicated_per_victim():
     lock_read(server, "old", 1.0, reads=("a",), writes=("a",))
     lock_read(server, "old2", 2.0, reads=("b",), writes=("b",))
     sim.run(until=0.5)
-    wounds = [p for p in client.of_kind("txn_event") if p["kind"] == "wound"]
-    assert len([w for w in wounds if w["txn"] == "young"]) == 1
+    wounds = [p for p in client.of_kind("txn_event") if p.kind == "wound"]
+    assert len([w for w in wounds if w.txn == "young"]) == 1
