@@ -9,16 +9,42 @@ is truncated before new entries are written.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
+from repro.net.message import estimate_size
 
-@dataclass(frozen=True)
+
 class LogEntry:
-    """One log slot: the term it was created in and an opaque payload."""
+    """One log slot: the term it was created in and an opaque payload.
 
-    term: int
-    payload: Any
+    ``wire_size`` is the entry's share of an AppendEntries, computed once
+    at construction: 8 bytes for the term plus the payload's
+    :func:`~repro.net.message.estimate_size`, exactly what a
+    ``(term, payload)`` tuple adds.  AppendEntries carry the leader's
+    entry objects themselves, and followers append them as received, so
+    one entry is shared by every replica's log and every message that
+    ships it.  That is safe because neither the entry nor its payload is
+    mutated after :meth:`RaftReplica.propose
+    <repro.raft.node.RaftReplica.propose>` creates it.
+    """
+
+    __slots__ = ("term", "payload", "wire_size")
+
+    def __init__(self, term: int, payload: Any) -> None:
+        self.term = term
+        self.payload = payload
+        self.wire_size = 8 + estimate_size(payload)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not LogEntry:
+            return NotImplemented
+        return self.term == other.term and self.payload == other.payload
+
+    def __hash__(self) -> int:
+        return hash((self.term, self.payload))
+
+    def __repr__(self) -> str:
+        return f"LogEntry(term={self.term!r}, payload={self.payload!r})"
 
 
 class RaftLog:

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from heapq import heappop, heappush
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -94,7 +95,11 @@ class RaftReplica(Node):
         # new proposal or heartbeat does not re-send in-flight entries.
         self._sent_index: Dict[str, int] = {}
         self._votes: set = set()
-        self._commit_futures: Dict[int, Future] = {}
+        # Proposals awaiting commit: index -> (term proposed in, future),
+        # plus a min-heap of the same indexes so that a commit advance
+        # releases them in index order without scanning the backlog.
+        self._commit_futures: Dict[int, Tuple[int, Future]] = {}
+        self._pending_indexes: List[int] = []
         # Idle-group fast path: heartbeats to every peer carry the same
         # (term, prev_index, prev_term, [], leader_commit) tuple between
         # log appends, and the matching success responses are likewise
@@ -140,9 +145,18 @@ class RaftReplica(Node):
             future = Future()
             future.set_exception(RuntimeError(f"{self.name} is not the leader"))
             return future
-        index = self.log.append(LogEntry(self.current_term, payload))
+        term = self.current_term
+        index = self.log.append(LogEntry(term, payload))
         future = Future()
-        self._commit_futures[index] = future
+        # An index can come back after a deposed leader's uncommitted
+        # tail was overwritten and it was elected again.  Its old entry
+        # is gone, so its proposal fails; the index is already queued.
+        stale = self._commit_futures.get(index)
+        self._commit_futures[index] = (term, future)
+        if stale is None:
+            heappush(self._pending_indexes, index)
+        else:
+            self._fail_proposal(stale, index)
         obs = self.sim.obs
         if obs.enabled:
             # Payloads are ("<kind>", "<txn attempt id>", ...) tuples.
@@ -161,9 +175,10 @@ class RaftReplica(Node):
             latency = obs.metrics.histogram("raft.commit_latency")
             started = self.sim.now
 
-            def _committed(_f, kind=kind) -> None:
+            def _committed(f, kind=kind) -> None:
                 span.finish()
-                latency.observe(self.sim.now - started, kind=kind)
+                if f.exception is None:
+                    latency.observe(self.sim.now - started, kind=kind)
 
             # Registered before any chance of resolution so the no-peer
             # immediate-commit path still records (fires synchronously).
@@ -321,7 +336,7 @@ class RaftReplica(Node):
                 self.name,
                 prev_index,
                 self.log.term_at(prev_index),
-                [(e.term, e.payload) for e in entries],
+                entries,
                 self.commit_index,
             )
         else:
@@ -365,9 +380,8 @@ class RaftReplica(Node):
             self.role = Role.FOLLOWER
         self.leader_hint = payload.leader
         self._reset_election_timer()
-        raw = payload.entries
-        if raw:
-            entries = [LogEntry(t, p) for t, p in raw]
+        entries = payload.entries
+        if entries:
             success = self.log.append_from_leader(
                 payload.prev_index, payload.prev_term, entries
             )
@@ -382,6 +396,9 @@ class RaftReplica(Node):
                 payload.leader_commit, self.log.last_index
             )
             self._apply_committed()
+            if self._commit_futures:
+                # Proposals from an earlier leadership of this replica.
+                self._release_commit_futures()
         # Heartbeat responses between term/match changes are identical;
         # reuse the cached one (mirrors the leader's idle-payload cache).
         response = self._append_response
@@ -429,12 +446,31 @@ class RaftReplica(Node):
             if self.log.term_at(index) == self.current_term:
                 self.commit_index = index
         self._apply_committed()
-        self._resolve_commit_futures()
+        self._release_commit_futures()
 
-    def _resolve_commit_futures(self) -> None:
-        ready = [i for i in self._commit_futures if i <= self.commit_index]
-        for index in sorted(ready):
-            self._commit_futures.pop(index).set_result(index)
+    def _release_commit_futures(self) -> None:
+        """Settle the pending proposals at or below ``commit_index``, in
+        index order.  A proposal succeeds only if its own entry is the
+        one that committed: after a change of leader another term's
+        entry may sit at its index, and then it fails."""
+        heap = self._pending_indexes
+        futures = self._commit_futures
+        term_at = self.log.term_at
+        while heap and heap[0] <= self.commit_index:
+            index = heappop(heap)
+            pending = futures.pop(index)
+            if term_at(index) == pending[0]:
+                pending[1].set_result(index)
+            else:
+                self._fail_proposal(pending, index)
+
+    def _fail_proposal(self, pending: Tuple[int, Future], index: int) -> None:
+        term, future = pending
+        future.set_exception(
+            RuntimeError(
+                f"{self.name}: entry {index} of term {term} was overwritten"
+            )
+        )
 
     def _apply_committed(self) -> None:
         while self.last_applied < self.commit_index:

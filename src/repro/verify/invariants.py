@@ -222,11 +222,10 @@ def _raft_groups(system) -> Iterable[Any]:
 def check_raft(system) -> InvariantReport:
     """Log matching, commit safety and apply-order sanity per group.
 
-    Entry *payloads* travel by reference inside the simulation (the
-    follower re-wraps them in fresh ``LogEntry`` shells but ships the
-    same payload object), so log matching degenerates to a payload
-    identity check — stronger than the paper's statement and free to
-    verify.
+    Entries travel by reference inside the simulation (followers append
+    the leader's own ``LogEntry`` objects, payload included), so log
+    matching degenerates to a payload identity check — stronger than
+    the paper's statement and free to verify.
     """
     report = InvariantReport(checks_run=["raft"])
     for group in _raft_groups(system):

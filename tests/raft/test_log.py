@@ -1,8 +1,11 @@
 """Tests for the Raft log."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.net.message import estimate_size
+from repro.net.payload import AppendEntries
 from repro.raft import LogEntry, RaftLog
 
 
@@ -96,3 +99,37 @@ def test_terms_are_monotonic_after_leader_appends(terms):
         log.append(LogEntry(current, None))
     snapshot = [e.term for e in log.snapshot()]
     assert snapshot == sorted(snapshot)
+
+
+#: Entry payloads of every shape ``estimate_size`` distinguishes.
+PAYLOADS = [
+    "w:key-9",
+    ("prepare", "t1.0", ["key-1", "key-2"], 3),
+    {"op": "w", "key": "key-9", "ts": 2.5},
+    None,
+    ("commit", ("t1.0", 2), {"key-1": ["v", None, True, {"n": 7}]}),
+    7,
+    False,
+]
+
+
+@pytest.mark.parametrize("payload", PAYLOADS)
+def test_entry_wire_size_is_its_tuple_share(payload):
+    entry = LogEntry(3, payload)
+    assert entry.wire_size == 8 + estimate_size(payload)
+    assert estimate_size([entry]) == estimate_size([(3, payload)])
+
+
+def test_append_entries_of_entry_objects_sizes_like_tuples():
+    objects = AppendEntries(
+        3, "raft-0", 7, 2, [LogEntry(3, p) for p in PAYLOADS], 6
+    )
+    tuples = AppendEntries(3, "raft-0", 7, 2, [(3, p) for p in PAYLOADS], 6)
+    assert objects.wire_size == tuples.wire_size
+
+
+def test_entries_compare_by_term_and_payload():
+    assert LogEntry(1, ("w", "k")) == LogEntry(1, ("w", "k"))
+    assert LogEntry(1, "a") != LogEntry(2, "a")
+    assert LogEntry(1, "a") != LogEntry(1, "b")
+    assert hash(LogEntry(1, "a")) == hash(LogEntry(1, "a"))

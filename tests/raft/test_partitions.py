@@ -107,6 +107,32 @@ def test_uncommitted_minority_entries_are_discarded_on_heal():
         assert [e.payload for e in replica.log.snapshot()] == reference
 
 
+def test_proposal_resolves_only_if_its_own_entry_commits():
+    sim, net, group = build()
+    settle(sim, 2.0)
+    (old_leader,) = leaders(group)
+    others = [r for r in group.replicas if r is not old_leader]
+
+    isolate(sim, net, old_leader, 3.0, 9.0)
+    committed = old_leader.propose("committed-before-partition")
+    committed_index = old_leader.log.last_index
+    settle(sim, 3.0)
+    orphan = old_leader.propose("orphaned")
+    orphan_index = old_leader.log.last_index
+    settle(sim, 7.0)
+    (new_leader,) = [r for r in others if r.role is Role.LEADER]
+    new_leader.propose("committed-during-partition")
+
+    settle(sim, 15.0)
+    assert committed.value == committed_index
+    # The healed old leader committed past the orphan's index, but
+    # another term's entry sits there now.
+    assert old_leader.commit_index >= orphan_index
+    assert old_leader.log.entry_at(orphan_index).payload != "orphaned"
+    assert isinstance(orphan.exception, RuntimeError)
+    assert old_leader._commit_futures == {}
+
+
 def test_no_commit_possible_without_majority():
     sim, net, group = build()
     settle(sim, 2.0)

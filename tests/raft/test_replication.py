@@ -1,10 +1,12 @@
 """Tests for replication through a ReplicationGroup."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.placement import PartitionPlacement
-from repro.net import Network, azure_topology
-from repro.raft import RaftConfig, ReplicationGroup, Role
+from repro.net import Network, azure_topology, local_cluster_topology
+from repro.net.payload import AppendEntries
+from repro.raft import LogEntry, RaftConfig, ReplicationGroup, Role
 from repro.sim import Simulator
 
 
@@ -80,6 +82,18 @@ def test_follower_logs_converge_to_leader_log():
         assert replica.commit_index == 5
 
 
+def test_followers_append_the_leaders_entry_objects():
+    sim, _, group = build()
+    for op in range(5):
+        group.replicate(op)
+    sim.run(until=2.0)
+    leader_log = group.leader.log.snapshot()
+    for replica in group.replicas:
+        follower_log = replica.log.snapshot()
+        assert len(follower_log) == len(leader_log)
+        assert all(a is b for a, b in zip(follower_log, leader_log))
+
+
 def test_propose_on_follower_fails():
     sim, _, group = build()
     follower = group.replicas[1]
@@ -112,3 +126,89 @@ def test_many_concurrent_proposals_all_commit():
     sim.run(until=2.0)
     assert all(f.done for f in futures)
     assert [f.value for f in futures] == list(range(1, 51))
+
+
+class AckJitter:
+    """Per-link delays: fixed out of ``leader_dc``, spread over up to
+    ten times the base delay on the way back into it.  Each link stays
+    FIFO, so the two followers' acks overtake one another."""
+
+    def __init__(self, topology, leader_dc, rng):
+        self._topology = topology
+        self._leader_dc = leader_dc
+        self._rng = rng
+
+    def _spread(self, src_dc, dst_dc):
+        return dst_dc == self._leader_dc and src_dc != dst_dc
+
+    def sample(self, src_dc, dst_dc):
+        base = self._topology.one_way(src_dc, dst_dc)
+        if self._spread(src_dc, dst_dc):
+            return base * (1.0 + 9.0 * self._rng.random())
+        return base
+
+    def mean(self, src_dc, dst_dc):
+        base = self._topology.one_way(src_dc, dst_dc)
+        return base * 5.5 if self._spread(src_dc, dst_dc) else base
+
+
+def test_deep_backlog_releases_every_future_once_in_index_order():
+    sim = Simulator()
+    topology = local_cluster_topology()
+    net = Network(
+        sim, topology, AckJitter(topology, "DC1", np.random.default_rng(7))
+    )
+    group = ReplicationGroup(
+        sim,
+        net,
+        PartitionPlacement(0, ("DC1", "DC2", "DC3")),
+        config=RaftConfig(heartbeat_interval=0.05, election_timeout=None),
+    )
+    leader = group.leader
+    acks = []
+    handle_ack = leader.handle_append_entries_response
+
+    def record_ack(payload, src):
+        acks.append(payload.match_index)
+        handle_ack(payload, src)
+
+    leader.handle_append_entries_response = record_ack
+
+    released = []
+    futures = [group.replicate(n) for n in range(600)]
+    assert len(leader._commit_futures) == 600
+    for index, future in enumerate(futures, start=1):
+        future.add_done_callback(
+            lambda f, index=index: released.append((index, f.value))
+        )
+    sim.run(until=2.0)
+
+    # Acks really arrived out of index order.
+    assert acks != sorted(acks)
+    assert released == [(index, index) for index in range(1, 601)]
+    assert leader._commit_futures == {}
+
+
+def test_reproposed_index_fails_the_stale_proposal():
+    sim, _, group = build()
+    leader = group.leader
+    term = leader.current_term
+    proposals = [leader.propose(op) for op in "abc"]
+    # Before any of them replicates, a leader of the next term replaces
+    # the tail from index 2 with one entry of its own.
+    overwrite = [LogEntry(term + 1, "x")]
+    leader.handle_append_entries(
+        AppendEntries(term + 1, "p0-WA", 1, term, overwrite, 0), "p0-WA"
+    )
+    assert leader.role is Role.FOLLOWER
+    assert leader.log.last_index == 2
+
+    leader.become_leader()
+    replacement = leader.propose("d")
+    assert isinstance(proposals[2].exception, RuntimeError)
+    sim.run(until=2.0)
+
+    assert proposals[0].value == 1
+    assert isinstance(proposals[1].exception, RuntimeError)
+    assert replacement.value == 3
+    assert leader._commit_futures == {}
