@@ -188,7 +188,6 @@ def run_experiment(
                 stats,
                 clock=cluster.make_clock(name),
             )
-            client.use_streams(cluster.streams)
             clients.append(client)
 
     per_client_rate = input_rate / len(clients)
@@ -197,7 +196,8 @@ def run_experiment(
 
     def start_load() -> None:
         for client in clients:
-            client.run_open_loop(workload, per_client_rate, until=load_end)
+            rng = cluster.streams.stream(f"client.{client.name}")
+            client.run_open_loop(workload, per_client_rate, load_end, rng)
 
     cluster.sim.schedule(load_start, start_load)
     cluster.sim.run(until=load_end + settings.drain)

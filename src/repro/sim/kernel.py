@@ -13,8 +13,7 @@ Design notes
 * ``post``/``post_at`` exist because most events are never cancelled:
   message deliveries, process steps and open-loop ticks fire exactly
   once.  Skipping the Timer allocation and the cancellation bookkeeping
-  for them roughly doubles raw event throughput (see
-  ``benchmarks/perf/bench_sweep.py``).
+  for them roughly doubles raw event throughput.
 * Cancellation is lazy: a cancelled :class:`Timer` stays in the heap and
   is skipped when popped.  This keeps ``schedule`` and ``cancel`` O(log n)
   and O(1) respectively.  The kernel counts cancelled-but-still-heaped
@@ -23,6 +22,11 @@ Design notes
   guards) don't grow the heap without bound.
 * Time is a float in **seconds**.  All delay models and protocol
   parameters use seconds; reporting code converts to milliseconds.
+* There is one event loop, :meth:`Simulator.run`, traced or not.  The
+  kernel counts no event as it fires: :attr:`Simulator.events_fired` is
+  derived from the sequence counter, the heap length and the count of
+  cancelled entries removed, which only cancellation and compaction
+  touch.
 * ``sim.obs`` is the run's :class:`~repro.obs.core.Observability` bundle
   (default: the disabled :data:`~repro.obs.core.NULL_OBS`); instrumented
   components guard on ``sim.obs.enabled``.
@@ -69,8 +73,9 @@ class Timer:
         self._callback = _noop
         sim = self._sim
         if sim is not None:
-            # Inlined Simulator._note_cancelled: cancel is hot enough
-            # that the extra method call shows up in benchmarks.
+            # Inlined for speed.  Below 64 entries lazy skipping beats
+            # rebuilding: pops clear cancelled entries quickly and
+            # compaction would thrash.
             sim._cancelled_in_heap += 1
             if sim._cancelled_in_heap * 2 > len(sim._heap) >= 64:
                 sim._compact()
@@ -78,9 +83,6 @@ class Timer:
     @property
     def cancelled(self) -> bool:
         return self._cancelled
-
-    def _fire(self) -> None:
-        self._callback()
 
 
 def _noop() -> None:
@@ -163,6 +165,8 @@ class Simulator:
         self._heap: List[Any] = []
         self._stopped = False
         self._cancelled_in_heap = 0
+        #: Cancelled entries that left the heap, popped or compacted.
+        self._cancelled_removed = 0
         self.obs: Observability = NULL_OBS
 
     @property
@@ -179,6 +183,13 @@ class Simulator:
     def heap_size(self) -> int:
         """Raw heap length, cancelled entries included."""
         return len(self._heap)
+
+    @property
+    def events_fired(self) -> int:
+        """Callbacks run so far.  Every entry ever pushed (counted by the
+        sequence number) is still in the heap, fired, or removed as
+        cancelled — popped by :meth:`run` or dropped by compaction."""
+        return self._sequence - len(self._heap) - self._cancelled_removed
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Timer:
         """Run ``callback`` after ``delay`` simulated seconds."""
@@ -256,24 +267,22 @@ class Simulator:
         """Make the current ``run`` call return after the current event."""
         self._stopped = True
 
-    #: Below this heap size lazy skipping beats rebuilding: pops clear
-    #: cancelled entries quickly and compaction would thrash.  Keep in
-    #: sync with the literal in :meth:`Timer.cancel`, where the check is
-    #: inlined for speed.
-    _COMPACT_MIN_HEAP = 64
-
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify.
 
         Deterministic: (deadline, sequence) keys are unique, so heapify
-        yields the same pop order the lazy skip would have.
+        yields the same pop order the lazy skip would have.  The heap is
+        filtered in place: a ``run`` in progress holds it in a local.
         """
-        self._heap = [
+        heap = self._heap
+        before = len(heap)
+        heap[:] = [
             entry
-            for entry in self._heap
+            for entry in heap
             if entry[2].__class__ is not Timer or not entry[2]._cancelled
         ]
-        heapq.heapify(self._heap)
+        heapq.heapify(heap)
+        self._cancelled_removed += before - len(heap)
         self._cancelled_in_heap = 0
 
     def run(self, until: Optional[float] = None) -> None:
@@ -283,11 +292,16 @@ class Simulator:
         than ``until`` and advances the clock exactly to ``until`` (so
         periodic activities observe a consistent end time).  Without it,
         the loop drains the heap.
+
+        With ``obs`` enabled, every return (also one where a callback
+        raised) adds the events this call fired to the
+        ``sim.events_fired`` counter and sets the ``sim.heap_depth``
+        gauge to :attr:`pending_events`.  The gauge is thus sampled once
+        per ``run`` call, not per event.
         """
         self._stopped = False
-        if self.obs.enabled:
-            self._run_instrumented(until)
-            return
+        obs = self.obs if self.obs.enabled else None
+        fired_before = self.events_fired
         # The innermost loop of every experiment: locals for the heap
         # and pop, an infinite sentinel instead of a None check per
         # event, and a single type test to split Timer entries (which
@@ -296,48 +310,31 @@ class Simulator:
         heap = self._heap
         pop = heappop
         timer_class = Timer
-        while heap and not self._stopped:
-            entry = heap[0]
-            deadline = entry[0]
-            if deadline > limit:
-                break
-            pop(heap)
-            target = entry[2]
-            if target.__class__ is timer_class:
-                if target._cancelled:
-                    self._cancelled_in_heap -= 1
-                    continue
-                target._sim = None
-                self._now = deadline
-                target._callback()
-            else:
-                self._now = deadline
-                target()
-        if until is not None and self._now < until:
-            self._now = until
-
-    def _run_instrumented(self, until: Optional[float]) -> None:
-        """The ``run`` loop plus kernel metrics (tracing enabled)."""
-        obs = self.obs
-        fired = obs.metrics.counter("sim.events_fired")
-        depth = obs.metrics.gauge("sim.heap_depth")
-        heap = self._heap
-        while heap and not self._stopped:
-            deadline, _, target = heap[0]
-            if until is not None and deadline > until:
-                break
-            heapq.heappop(heap)
-            if target.__class__ is Timer:
-                if target._cancelled:
-                    self._cancelled_in_heap -= 1
-                    continue
-                target._sim = None
-            self._now = deadline
-            fired.inc()
-            depth.set(self.pending_events)
-            if target.__class__ is Timer:
-                target._callback()
-            else:
-                target()
+        try:
+            while heap and not self._stopped:
+                entry = heap[0]
+                deadline = entry[0]
+                if deadline > limit:
+                    break
+                pop(heap)
+                target = entry[2]
+                if target.__class__ is timer_class:
+                    if target._cancelled:
+                        self._cancelled_in_heap -= 1
+                        self._cancelled_removed += 1
+                        continue
+                    target._sim = None
+                    self._now = deadline
+                    target._callback()
+                else:
+                    self._now = deadline
+                    target()
+        finally:
+            if obs is not None:
+                metrics = obs.metrics
+                metrics.counter("sim.events_fired").inc(
+                    self.events_fired - fired_before
+                )
+                metrics.gauge("sim.heap_depth").set(self.pending_events)
         if until is not None and self._now < until:
             self._now = until

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Generator, Optional
 
+import numpy as np
+
 from repro.cluster.node import Node
 from repro.net.network import Network
 from repro.net.payload import Payload
@@ -67,18 +69,19 @@ class ClientDriver(Node):
         workload: "Workload",  # noqa: F821 - structural typing (next_transaction)
         rate_per_second: float,
         until: float,
+        rng: np.random.Generator,
     ) -> None:
         """Submit new transactions at ``rate_per_second`` until ``until``.
 
         Interarrival times are exponential (Poisson arrivals), drawn
-        from this client's own stream so clients are independent.  The
-        stream is exclusive to this loop, so gaps are pulled from
-        pre-filled standard-exponential blocks — ``exponential(scale)``
-        is ``scale * standard_exponential()`` exactly.
+        from ``rng``, a stream of this client's own (the harness passes
+        the cluster's ``client.<name>``) that only this loop draws from,
+        so gaps are pulled from pre-filled standard-exponential blocks —
+        ``exponential(scale)`` is ``scale * standard_exponential()``
+        exactly.
         """
         from repro.sim import BatchedStandardExponential
 
-        rng = self.sim_rng()
         mean_gap = 1.0 / rate_per_second
         sim = self.sim
         post = sim.post
@@ -94,19 +97,6 @@ class ClientDriver(Node):
             post(next_gap() * mean_gap, _tick)
 
         post(next_gap() * mean_gap, _tick)
-
-    def sim_rng(self):
-        # Late import to avoid widening the constructor signature; each
-        # client derives its stream from its name.
-        from repro.sim import RandomStreams
-
-        if not hasattr(self, "_rng"):
-            self._rng = RandomStreams(0).stream(f"client.{self.name}")
-        return self._rng
-
-    def use_streams(self, streams) -> None:
-        """Adopt the cluster's stream family (called by the harness)."""
-        self._rng = streams.stream(f"client.{self.name}")
 
     # ------------------------------------------------------------------
     # Transaction lifecycle

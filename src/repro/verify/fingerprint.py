@@ -12,9 +12,10 @@ reordered message or extra RNG draw shifts them).
 :func:`fingerprint_result` hashes the full record list of one
 experiment into a sha256 hex digest.  Floats are rendered with
 ``repr`` so the digest is sensitive to the last ulp — two runs agree
-iff their behavior is bit-identical, which is exactly the acceptance
-bar the perf benchmarks (``benchmarks/perf/bench_profile.py``) check
-against recorded pre-change digests.
+iff their behavior is bit-identical.  The tier-1 test
+``tests/verify/test_fingerprint_pinned.py`` holds the recipe of four
+pinned points and checks their digests against the recorded ones in
+``tests/verify/FINGERPRINTS.json``.
 """
 
 from __future__ import annotations

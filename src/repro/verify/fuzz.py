@@ -226,7 +226,6 @@ def run_scenario(
             stats,
             clock=cluster.make_clock(name),
         )
-        client.use_streams(cluster.streams)
         # The fuzz workload is intentionally adversarial; lift the paper's
         # 100-retry budget so convergence is part of what we verify.
         client.max_retries = 1000

@@ -8,11 +8,13 @@ so every figure can fan out over cores without changing a single number.
 import math
 import os
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.experiments.common import Scale, trace_label
 from repro.experiments import figure7
+from repro.harness import parallel as parallel_module
 from repro.harness.experiment import (
     ExperimentSettings,
     seed_schedule,
@@ -103,14 +105,32 @@ def test_detached_result_pickles_and_preserves_metrics():
 # serial/parallel parity
 
 
-def test_run_points_serial_and_parallel_agree():
+@pytest.fixture
+def pools_entered(monkeypatch):
+    """Grant two usable cores (so a one-core host does not fall back to
+    the serial path) and record the size of each process pool entered."""
+    entered = []
+
+    class SpyPool(ProcessPoolExecutor):
+        def __enter__(self):
+            entered.append(self._max_workers)
+            return super().__enter__()
+
+    monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", SpyPool)
+    return entered
+
+
+def test_run_points_serial_and_parallel_agree(pools_entered):
     specs = [
         _tiny_spec(system=name, seed=seed)
         for name in ("Carousel Basic", "Natto-RECSF")
         for seed in (0, 1)
     ]
     serial = run_points(specs, jobs=1)
+    assert pools_entered == []
     parallel = run_points(specs, jobs=4)
+    assert pools_entered == [2]
     assert len(serial) == len(parallel) == len(specs)
     for left, right in zip(serial, parallel):
         assert left.system_name == right.system_name
@@ -119,10 +139,12 @@ def test_run_points_serial_and_parallel_agree():
         assert left.goodput() == right.goodput()
 
 
-def test_figure_sweep_tables_identical_at_any_job_count():
-    kwargs = dict(systems=("Carousel Basic", "Natto-RECSF"), rates=(50,))
+def test_figure_sweep_tables_identical_at_any_job_count(pools_entered):
+    kwargs = dict(systems=("Carousel Basic", "Natto-RECSF"), rates=(50, 100))
     serial = figure7.run_ycsbt(TINY, jobs=1, **kwargs)
+    assert pools_entered == []
     parallel = figure7.run_ycsbt(TINY, jobs=4, **kwargs)
+    assert pools_entered == [2]
     assert serial.keys() == parallel.keys()
     for key in serial:
         assert serial[key].to_json() == parallel[key].to_json()

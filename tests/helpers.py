@@ -35,7 +35,6 @@ def build_system(
             stats,
             clock=cluster.make_clock(f"client-{dc}-{len(clients)}"),
         )
-        client.use_streams(cluster.streams)
         clients.append(client)
     return cluster, clients, stats
 

@@ -1,5 +1,11 @@
-"""Cancellation bookkeeping: live-event counts and heap compaction."""
+"""Cancellation bookkeeping: live-event counts, heap compaction, and
+``Simulator.events_fired``, which the kernel derives from them (the
+sequence number less the heap length and the cancelled entries removed).
+"""
 
+import pytest
+
+from repro.obs.core import Observability
 from repro.sim import Simulator
 
 
@@ -112,3 +118,110 @@ def test_run_until_with_cancelled_head():
     sim.run(until=5.0)
     assert fired == [2]
     assert sim.now == 5.0
+
+
+def test_compaction_during_run_keeps_one_heap():
+    # A callback compacts the heap run() is looping over; an event
+    # posted afterwards must fire, and each survivor exactly once.
+    sim = Simulator()
+    fired = []
+    timers = [
+        sim.schedule(2.0 + i, lambda i=i: fired.append(i)) for i in range(100)
+    ]
+
+    def cancel_most():
+        for timer in timers[:60]:
+            timer.cancel()
+        sim.post(0.5, lambda: fired.append("posted"))
+
+    sim.schedule(1.0, cancel_most)
+    sim.run()
+    assert fired == ["posted"] + list(range(60, 100))
+    assert sim.heap_size == 0
+
+
+def _counting_sim():
+    """A traced simulator, a maker of counted callbacks, and a check."""
+    sim = Simulator()
+    obs = Observability().attach(sim)
+    ran = []
+
+    def counted(action=lambda: None):
+        def callback():
+            ran.append(sim.now)
+            action()
+
+        return callback
+
+    def check():
+        assert sim.events_fired == len(ran)
+        assert obs.metrics.counter("sim.events_fired").value == len(ran)
+        assert obs.metrics.gauge("sim.heap_depth").value == sim.pending_events
+
+    return sim, counted, check
+
+
+def test_events_fired_matches_callbacks_across_slices():
+    sim, counted, check = _counting_sim()
+    sim.schedule(0.5, counted()).cancel()
+    early = sim.schedule(0.2, counted())
+    for i in range(30):
+        sim.post(0.1 * (i + 1), counted())
+        sim.post_at(0.15 * (i + 1), counted())
+    # At t=4 a callback cancels 60 of these 80 timers, which compacts
+    # the heap (>= 64 entries, more than half cancelled) mid-run.
+    doomed = [sim.schedule(5.0 + 0.01 * i, counted()) for i in range(80)]
+
+    def cancel_most():
+        before = sim.heap_size
+        for timer in doomed[:60]:
+            timer.cancel()
+        assert sim.heap_size < before  # cancel is lazy; compaction shrinks
+
+    sim.schedule(4.0, counted(cancel_most))
+    sim.schedule_at(7.0, counted(sim.stop))
+    sim.schedule(8.0, counted())
+    series = sim.every(0.5, counted(), until=9.0)
+
+    sim.run(until=1.0)
+    check()
+    early.cancel()  # after it fired: not a removed cancelled entry
+    sim.run(until=4.5)
+    check()
+    sim.run()  # stopped by the t=7 callback
+    assert sim.now == 7.0
+    check()
+    series.cancel()
+    sim.run(until=20.0)
+    check()
+    assert sim.pending_events == 0
+
+
+def test_compaction_before_run_is_not_counted_as_fired():
+    sim, counted, check = _counting_sim()
+    timers = [sim.schedule(1.0 + i, counted()) for i in range(100)]
+    for timer in timers[:60]:
+        timer.cancel()
+    assert sim.heap_size < 100 and sim.events_fired == 0
+    sim.run(until=80.0)
+    check()
+    sim.run()
+    check()
+    assert sim.events_fired == 40
+
+
+def test_counter_is_published_when_a_callback_raises():
+    sim, counted, check = _counting_sim()
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.post(1.0, counted())
+    sim.post(2.0, counted(boom))
+    sim.post(3.0, counted())
+    with pytest.raises(RuntimeError):
+        sim.run()
+    check()
+    sim.run()
+    check()
+    assert sim.events_fired == 3

@@ -1,5 +1,7 @@
 """Tests for the client driver's retry loop and event routing."""
 
+import numpy as np
+
 from repro.net.network import Network
 from repro.net.payload import DecisionEvent
 from repro.net.topology import azure_topology
@@ -123,7 +125,8 @@ def test_open_loop_submission_rate():
             OneKeyWorkload.count += 1
             return spec(f"w{OneKeyWorkload.count}")
 
-    client.run_open_loop(OneKeyWorkload(), rate_per_second=100.0, until=10.0)
+    rng = np.random.default_rng(0)
+    client.run_open_loop(OneKeyWorkload(), 100.0, until=10.0, rng=rng)
     sim.run(until=12.0)
     # Poisson arrivals at 100/s for 10 s: ~1000 transactions (loose CI).
     assert 800 < len(stats.records) < 1200

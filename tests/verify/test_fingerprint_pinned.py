@@ -1,11 +1,12 @@
 """Pinned determinism fingerprints (tier-1 promotion of repro.verify.fingerprint).
 
-Replicates the ``benchmarks/perf/bench_profile.py`` fingerprint recipe
-and checks the digests against the pinned ``FINGERPRINTS.json``.  Any
-change to simulation arithmetic, RNG consumption order, or protocol
-logic shows up here as a digest mismatch; deliberate changes must
-re-record via ``python benchmarks/perf/bench_profile.py
---record-fingerprints``.
+Runs one YCSB+T point per system family and checks the sha256 digest of
+its transaction records against ``FINGERPRINTS.json`` next to this
+file.  This module is the only copy of the recipe.  Any change to
+simulation arithmetic, RNG consumption order, or protocol logic shows
+up here as a digest mismatch.  A deliberate behavior change re-records
+a digest by pasting the measured value that the failure message prints
+into the JSON file.
 """
 
 import json
@@ -19,13 +20,8 @@ from repro.harness.parallel import PointSpec, WorkloadSpec, run_point
 from repro.verify.fingerprint import fingerprint_result
 from repro.workloads import YcsbTWorkload
 
-FINGERPRINTS_PATH = (
-    pathlib.Path(__file__).resolve().parents[2]
-    / "benchmarks" / "perf" / "FINGERPRINTS.json"
-)
+FINGERPRINTS_PATH = pathlib.Path(__file__).with_name("FINGERPRINTS.json")
 
-# Must mirror benchmarks/perf/bench_profile.py exactly — the pinned
-# digests are only meaningful under the identical recipe.
 FINGERPRINT_SYSTEMS = ("2PL+2PC", "TAPIR", "Carousel Basic", "Natto-RECSF")
 FINGERPRINT_RATE = 80
 FINGERPRINT_KEYS = 600
@@ -51,7 +47,7 @@ def test_fingerprint_matches_pinned(system):
     )
     digest = fingerprint_result(run_point(spec).results[0])
     assert digest == EXPECTED[system], (
-        f"determinism fingerprint changed for {system}; if intentional, "
-        "re-record with benchmarks/perf/bench_profile.py "
-        "--record-fingerprints"
+        f"determinism fingerprint changed for {system}: measured {digest}. "
+        "If the behavior change is intended, record that value under "
+        f"{system!r} in {FINGERPRINTS_PATH}"
     )
