@@ -14,10 +14,10 @@ serviced in arrival order, and a message arriving while the node is busy
 waits.  ``service_time == 0`` (the default for clients) disposes of the
 queue entirely.
 
-The per-message cost is intentionally coarse — one constant for light
-messages and the option of per-message overrides via
-:meth:`Node.service_time_for`.  Calibration lives with the experiments,
-not here.
+The per-message cost is intentionally coarse: every message costs the
+node's one constant ``service.service_time``, which the network reads
+directly on each arrival.  Calibration lives with the experiments, not
+here.
 """
 
 from __future__ import annotations
@@ -79,7 +79,11 @@ class Node:
 
     Subclasses implement :meth:`handle_message` (for one-way messages)
     and/or ``handle_<method>`` methods invoked by the RPC layer in
-    :mod:`repro.net.network`.
+    :mod:`repro.net.network`.  The network looks a node's handler for a
+    method up on the first such message and keeps it, so handlers are
+    not swapped after a node starts receiving.  An RPC handler's return
+    value (or the value of the Future it returns) travels back to the
+    caller on a reply that carries the caller's Future.
     """
 
     def __init__(
@@ -95,10 +99,6 @@ class Node:
         self.datacenter = datacenter
         self.clock = clock or Clock(sim, ClockConfig(max_offset=0.0))
         self.service = ServiceModel(sim, service_time)
-
-    def service_time_for(self, message: "Message") -> float:
-        """CPU cost of handling ``message``; override for per-type costs."""
-        return self.service.service_time
 
     def handle_message(self, message: "Message") -> Any:
         """One-way message entry point; default drops the message."""

@@ -180,6 +180,8 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
         **kwargs: Any,
     ) -> None:
         super().__init__(*args, **kwargs)
+        # Names are "p<pid>-<DC>"; see ReplicationGroup.replica_name.
+        self.partition_id = int(self.name.split("-")[0][1:])
         self.store = store if store is not None else KeyValueStore()
         self.natto = natto_config
         self.partitioner = partitioner
@@ -213,9 +215,6 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
             "recsf_forwards": 0,
         }
 
-    def partition_id(self) -> int:
-        return int(self.name.split("-")[0][1:])
-
     # ------------------------------------------------------------------
     # Arrival
 
@@ -231,7 +230,7 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
             reply.set_result(Refusal(reason_value(reason)))
             return reply
         self._rap_seen.add(payload.txn)
-        pid = self.partition_id()
+        pid = self.partition_id
         slices = self.partitioner.group_keys
         info = NattoTxn(
             txn=payload.txn,
@@ -297,7 +296,7 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
             "vote",
             VoteReason(
                 info.txn,
-                self.partition_id(),
+                self.partition_id,
                 "no",
                 info.participants,
                 info.client,
@@ -502,7 +501,7 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
                 info.client,
                 "txn_event",
                 ReadsEvent(
-                    info.txn, self.partition_id(), values, info.epoch
+                    info.txn, self.partition_id, values, info.epoch
                 ),
             )
 
@@ -513,7 +512,7 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
             "vote",
             NattoVoteYes(
                 info.txn,
-                self.partition_id(),
+                self.partition_id,
                 "yes",
                 info.epoch,
                 conditional,
@@ -579,7 +578,7 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
             return False
         if self._completes_in_time(low, high):
             return False  # remote servers apply the same skip rule
-        my_pid = self.partition_id()
+        my_pid = self.partition_id
         common = set(high.participants) & set(low.participants) - {my_pid}
         slices = self.partitioner.group_keys
         high_reads = slices(high.full_reads)
@@ -609,7 +608,9 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
         if not blockers:
             return
         blocker_infos = []
-        for txn_id in blockers:
+        # Sorted: each blocker may get a message, and set order follows
+        # the string hash seed.
+        for txn_id in sorted(blockers):
             blocker = self.txns.get(txn_id)
             if blocker is None or blocker.state != "prepared":
                 return  # conditional blockers make forwarding unsafe
@@ -642,7 +643,7 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
                     blocker.txn,
                     info.txn,
                     info.client,
-                    self.partition_id(),
+                    self.partition_id,
                     sorted(overlap),
                 ),
             )
@@ -656,7 +657,7 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
             info.client,
             "txn_event",
             PartitionValuesEvent(
-                info.txn, "recsf_base", self.partition_id(), base_values
+                info.txn, "recsf_base", self.partition_id, base_values
             ),
         )
 
@@ -734,7 +735,9 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
 
     def _resolve_conditions(self, blocker_txn: str, committed: bool) -> None:
         waiters = self._conditions.pop(blocker_txn, set())
-        for txn_id in waiters:
+        # Sorted: set order follows the string hash seed, and each
+        # waiter may send a message.
+        for txn_id in sorted(waiters):
             high = self.txns.get(txn_id)
             if high is None or high.state != "cond":
                 continue
@@ -776,7 +779,7 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
             "condition_resolved",
             ConditionResolved(
                 info.txn,
-                self.partition_id(),
+                self.partition_id,
                 ok,
                 info.epoch if ok else info.epoch - 1,
             ),

@@ -1,8 +1,9 @@
 """Messages exchanged over the simulated network.
 
 Messages carry a method name (dispatched to ``handle_<method>`` on the
-destination node, else to ``handle_message``), a payload, and an
-estimated wire size used by the bandwidth pipes.  Protocol payloads are
+destination node, else to ``handle_message``), a payload, an estimated
+wire size used by the bandwidth pipes and, on an RPC request and its
+reply, the caller's future.  Protocol payloads are
 the classes of :mod:`repro.net.payload`, which precompute their size;
 any other payload (the generic network tests send plain dicts) is sized
 by :func:`estimate_size`, the walk those classes' sizes are defined by.
@@ -24,7 +25,10 @@ needs it at dispatch time anyway (byte accounting + bandwidth pipes).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim import Future
 
 #: Fixed per-message overhead (TCP/IP + gRPC framing, roughly).
 HEADER_BYTES = 120
@@ -91,10 +95,15 @@ def estimate_size(value: Any, _len=len, _str=str, _int=int, _float=float,
 
 
 class Message:
-    """One network message."""
+    """One network message.
 
-    __slots__ = ("method", "payload", "src", "dst", "msg_id", "reply_to",
-                 "wire_size")
+    ``future`` is set on an RPC request (:meth:`Network.call`) and on
+    its reply, which carries the same future back to the caller;
+    ``reply_to`` is the request's ``msg_id`` on a reply, else None.
+    """
+
+    __slots__ = ("method", "payload", "src", "dst", "msg_id", "future",
+                 "reply_to", "wire_size")
 
     def __init__(
         self,
@@ -102,14 +111,15 @@ class Message:
         payload: Any,
         src: str,
         dst: str,
-        msg_id: Optional[int] = None,
+        future: Optional[Future] = None,
         reply_to: Optional[int] = None,
     ) -> None:
         self.method = method
         self.payload = payload
         self.src = src
         self.dst = dst
-        self.msg_id = next(_message_ids) if msg_id is None else msg_id
+        self.msg_id = next(_message_ids)
+        self.future = future
         self.reply_to = reply_to
         #: Estimated bytes on the wire (header + payload); computed once
         #: — the payload is never mutated after construction.  Payload

@@ -1,14 +1,20 @@
 """Message delivery between simulated nodes.
 
-The network knows every node by name and, for each ordered datacenter
-pair, keeps a FIFO bandwidth pipe.  Sending a message costs:
+The network knows every node by name and keeps one :class:`_Link` per
+ordered (src, dst) node pair, built on the first message between them.
+A link holds everything that is the same for every message on it: the
+destination node, the datacenter pair, the one-way delay when it is a
+constant, the bandwidth pipe, the FIFO floor and the destination's
+method -> handler table.  Sending a message costs:
 
 ``transmission (pipe queueing + size/bandwidth)  +  propagation (delay
 model sample)  +  retransmission penalty (loss model)``
 
 and delivery additionally waits for the destination node's CPU (its
 :class:`~repro.cluster.node.ServiceModel`).  Intra-datacenter messages
-skip the bandwidth pipe (they do not cross the WAN link).
+skip the bandwidth pipe (they do not cross the WAN link); so do all
+messages when bandwidth is not modelled.  Pipes are FIFO queues per
+ordered datacenter pair, shared by every link between the two.
 
 Two primitives:
 
@@ -17,7 +23,11 @@ Two primitives:
   ``handle_message``.
 * :meth:`Network.call` — request/response RPC returning a
   :class:`~repro.sim.Future`.  The handler may return a plain value
-  (respond now) or a Future (respond when it resolves).
+  (respond now) or a Future (respond when it resolves).  The request
+  message carries the caller's future and the reply carries it back,
+  so the network keeps no table of outstanding calls: a request
+  expects a reply iff it carries a future, and a dropped request
+  leaves nothing behind.
 
 Handlers receive ``(payload, src_name)`` and are looked up as
 ``handle_<method>`` on the destination node.  Protocol payloads are the
@@ -72,14 +82,44 @@ class _Pipe:
 
     def transmit(self, now: float, size_bytes: int) -> float:
         """Queue ``size_bytes``; return the delay until fully on the wire."""
-        bandwidth = self.bandwidth
-        if bandwidth == float("inf"):
-            return 0.0
         busy = self._busy_until
         start = now if now > busy else busy
-        end = start + size_bytes / bandwidth
+        end = start + size_bytes / self.bandwidth
         self._busy_until = end
         return end - now
+
+
+class _Link:
+    """What every message from one node to another has in common."""
+
+    __slots__ = ("dst", "src_dc", "dst_dc", "delay", "pipe", "floor",
+                 "handlers")
+
+    def __init__(
+        self,
+        dst: Node,
+        src_dc: str,
+        dst_dc: str,
+        delay: Optional[float],
+        pipe: Optional[_Pipe],
+        handlers: Dict[str, Any],
+    ) -> None:
+        self.dst = dst
+        self.src_dc = src_dc
+        self.dst_dc = dst_dc
+        #: The one-way delay when it is the same for every message
+        #: (constant model, no loss); None samples it per message.
+        self.delay = delay
+        #: The datacenter pair's bandwidth pipe, or None when messages
+        #: on this link never queue for bandwidth.
+        self.pipe = pipe
+        #: TCP/gRPC semantics: messages on a link arrive in send order
+        #: — a later message never overtakes an earlier one, though it
+        #: can be delayed behind it.  The latest arrival so far.
+        self.floor = 0.0
+        #: The destination's method -> bound handler, or None for the
+        #: ``handle_message`` fallback; shared by every link into it.
+        self.handlers = handlers
 
 
 #: method -> "<method>.reply", interned once per method name instead of
@@ -117,17 +157,12 @@ class Network:
         self._sample_delay = self.delay_model.sample
         self.config = config
         self._nodes: Dict[str, Node] = {}
+        # src name -> dst name -> link.  Nested so that finding a
+        # message's link hashes two (cached) strings, not a new tuple.
+        self._links: Dict[str, Dict[str, _Link]] = {}
+        # dst name -> method -> handler; see _Link.handlers.
+        self._handlers: Dict[str, Dict[str, Any]] = {}
         self._pipes: Dict[Tuple[str, str], _Pipe] = {}
-        self._pending_calls: Dict[int, Future] = {}
-        # (dst_name, method) -> bound handler, or None for the
-        # handle_message fallback.  Nodes register once and handlers are
-        # bound methods, so the cache never goes stale; it replaces an
-        # f-string + getattr per delivered message.
-        self._handler_cache: Dict[Tuple[str, str], Optional[Any]] = {}
-        # TCP/gRPC semantics: per (src, dst) node pair, messages are
-        # delivered in send order — a later message never overtakes an
-        # earlier one, though it can be delayed behind it.
-        self._last_arrival: Dict[Tuple[str, str], float] = {}
         # Declarative fault schedules (repro.faults): when attached, the
         # injector's network-fault state is consulted per message while
         # at least one fault window is open.  None outside fault runs,
@@ -139,8 +174,12 @@ class Network:
             if loss_rng is None:
                 raise ValueError("a loss RNG is required when loss_rate > 0")
             self._loss = LossModel(config.loss, loss_rng)
-        # Config is immutable, so the "does bandwidth matter at all"
-        # test is resolved once instead of per message.
+        # Config is immutable, so whether a link's delay is a constant
+        # and whether bandwidth matters at all are resolved once.  A
+        # finite capacity keeps every pair's Mathis bandwidth finite.
+        self._constant_delay = self._loss is None and isinstance(
+            self.delay_model, ConstantDelay
+        )
         self._bandwidth_capped = (
             config.model_bandwidth
             and config.loss.link_capacity_bytes_per_s != float("inf")
@@ -156,6 +195,8 @@ class Network:
         if node.name in self._nodes:
             raise ValueError(f"duplicate node name {node.name!r}")
         self._nodes[node.name] = node
+        self._links[node.name] = {}
+        self._handlers[node.name] = {}
         return node
 
     def node(self, name: str) -> Node:
@@ -166,19 +207,13 @@ class Network:
 
     def send(self, src: Node, dst_name: str, method: str, payload: Any) -> None:
         """Fire-and-forget message."""
-        message = Message(method, payload, src.name, dst_name)
-        self._dispatch(message)
+        self._dispatch(Message(method, payload, src.name, dst_name))
 
     def call(self, src: Node, dst_name: str, method: str, payload: Any) -> Future:
         """Request/response RPC; resolves with the handler's response."""
-        message = Message(method, payload, src.name, dst_name)
         future = Future()
-        self._pending_calls[message.msg_id] = future
-        self._dispatch(message)
+        self._dispatch(Message(method, payload, src.name, dst_name, future))
         return future
-
-    # ------------------------------------------------------------------
-    # Delivery machinery
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -194,35 +229,59 @@ class Network:
         """
         self._faults = faults
 
-    def _dispatch(self, message: Message) -> None:
-        sim = self.sim
-        obs = sim.obs
-        nodes = self._nodes
-        src = nodes[message.src]
-        dst = nodes[message.dst]
-        self.messages_sent += 1
-        size = message.wire_size
-        self.bytes_sent += size
-        # Delivery delay, inlined: propagation + retransmission penalty
-        # + (cross-DC only) bandwidth-pipe queueing.
-        src_dc = src.datacenter
+    # ------------------------------------------------------------------
+    # Delivery machinery
+
+    def _link(self, src_name: str, dst_name: str) -> _Link:
+        """Build the link for a node pair's first message."""
+        src_dc = self._nodes[src_name].datacenter
+        dst = self._nodes[dst_name]
         dst_dc = dst.datacenter
-        delay = self._sample_delay(src_dc, dst_dc)
-        if self._loss is not None:
-            delay += self._loss.retransmission_delay()
+        delay = (
+            self._sample_delay(src_dc, dst_dc) if self._constant_delay
+            else None
+        )
+        pipe = None
         if self._bandwidth_capped and src_dc != dst_dc:
             pipe = self._pipes.get((src_dc, dst_dc))
             if pipe is None:
-                pipe = self._pipe(src_dc, dst_dc)
+                rtt = self.topology.rtt(src_dc, dst_dc) / 1000.0
+                bandwidth = self.config.loss.effective_bandwidth(rtt)
+                pipe = self._pipes[(src_dc, dst_dc)] = _Pipe(bandwidth)
+        link = _Link(
+            dst, src_dc, dst_dc, delay, pipe, self._handlers[dst_name]
+        )
+        self._links[src_name][dst_name] = link
+        return link
+
+    def _dispatch(self, message: Message) -> None:
+        sim = self.sim
+        try:
+            link = self._links[message.src][message.dst]
+        except KeyError:
+            link = self._link(message.src, message.dst)
+        self.messages_sent += 1
+        size = message.wire_size
+        self.bytes_sent += size
+        # Delivery delay: propagation + retransmission penalty, then
+        # (cross-DC only) bandwidth-pipe queueing.
+        delay = link.delay
+        if delay is None:
+            delay = self._sample_delay(link.src_dc, link.dst_dc)
+            if self._loss is not None:
+                delay += self._loss.retransmission_delay()
+        pipe = link.pipe
+        if pipe is not None:
             delay += pipe.transmit(sim._now, size)
         faults = self._faults
         if faults is not None and faults.active:
             routed = faults.route(
-                message.src, message.dst, src_dc, dst_dc, delay
+                message.src, message.dst, link.src_dc, link.dst_dc, delay
             )
             if routed is None:
                 # Blackhole: the only fault that vaporizes a packet.
                 self.messages_dropped += 1
+                obs = sim.obs
                 if obs.enabled:
                     obs.metrics.counter("net.messages_dropped").inc()
                     obs.tracer.event(
@@ -234,23 +293,21 @@ class Network:
                     )
                 return
             delay, fault_floor = routed
+            arrival = sim._now + delay
+            if fault_floor > arrival:
+                arrival = fault_floor
         else:
-            fault_floor = 0.0
-        pair = (message.src, message.dst)
-        last = self._last_arrival
-        arrival = sim._now + delay
-        if fault_floor > arrival:
-            arrival = fault_floor
-        floor = last.get(pair)
-        if floor is not None and floor > arrival:
-            arrival = floor
-        last[pair] = arrival
+            arrival = sim._now + delay
+        if link.floor > arrival:
+            arrival = link.floor
+        link.floor = arrival
+        obs = sim.obs
         if obs.enabled:
             obs.metrics.counter("net.messages").inc(method=message.method)
-            obs.metrics.counter("net.bytes").inc(message.wire_size)
+            obs.metrics.counter("net.bytes").inc(size)
             obs.metrics.histogram("net.delay").observe(
                 arrival - sim.now,
-                link=f"{src.datacenter}->{dst.datacenter}",
+                link=f"{link.src_dc}->{link.dst_dc}",
             )
             txn = _txn_tag(message)
             if txn is not None:
@@ -260,65 +317,56 @@ class Network:
                     txn=txn,
                     dst=message.dst,
                 ).finish(at=arrival)
-        sim.post_at(arrival, partial(self._arrive, message, dst))
+        sim.post_at(arrival, partial(self._arrive, message, link))
 
-    def _pipe(self, src_dc: str, dst_dc: str) -> _Pipe:
-        key = (src_dc, dst_dc)
-        pipe = self._pipes.get(key)
-        if pipe is None:
-            rtt = self.topology.rtt(src_dc, dst_dc) / 1000.0
-            bandwidth = self.config.loss.effective_bandwidth(rtt)
-            pipe = _Pipe(bandwidth)
-            self._pipes[key] = pipe
-        return pipe
-
-    def _arrive(self, message: Message, dst: Node) -> None:
-        cost = dst.service_time_for(message)
+    def _arrive(self, message: Message, link: _Link) -> None:
+        service = link.dst.service
+        cost = service.service_time
         if cost > 0.0:
-            cpu_delay = dst.service.admission_delay(cost)
+            cpu_delay = service.admission_delay(cost)
             if cpu_delay > 0:
-                self.sim.post(cpu_delay, partial(self._handle, message, dst))
+                self.sim.post(cpu_delay, partial(self._handle, message, link))
                 return
-        self._handle(message, dst)
+        self._handle(message, link)
 
-    def _handle(self, message: Message, dst: Node) -> None:
+    def _handle(self, message: Message, link: _Link) -> None:
+        future = message.future
         if message.reply_to is not None:
-            future = self._pending_calls.pop(message.reply_to, None)
-            if future is not None and not future.done:
-                future.set_result(message.payload.result)
+            # Ignored if the caller's future was resolved another way.
+            future.try_set_result(message.payload.result)
             return
-        cache = self._handler_cache
-        key = (message.dst, message.method)
+        handlers = link.handlers
+        method = message.method
         try:
-            handler = cache[key]
+            handler = handlers[method]
         except KeyError:
-            handler = cache[key] = getattr(
-                dst, "handle_" + message.method, None
+            handler = handlers[method] = getattr(
+                link.dst, "handle_" + method, None
             )
         if handler is None:
-            dst.handle_message(message)
+            link.dst.handle_message(message)
             return
         result = handler(message.payload, message.src)
-        # A message expects a reply iff it was created by call(); the
-        # pending map is the source of truth (send() never registers).
-        if message.msg_id in self._pending_calls:
+        if future is not None:
             if isinstance(result, Future):
                 result.add_done_callback(
-                    lambda f: self._send_reply(message, dst, f.value)
+                    lambda f: self._send_reply(message, f.value)
                 )
             else:
-                self._send_reply(message, dst, result)
+                self._send_reply(message, result)
 
-    def _send_reply(self, request: Message, dst: Node, result: Any) -> None:
+    def _send_reply(self, request: Message, result: Any) -> None:
         method = request.method
         reply_method = _REPLY_METHOD.get(method)
         if reply_method is None:
             reply_method = _REPLY_METHOD[method] = method + ".reply"
-        reply = Message(
-            method=reply_method,
-            payload=Reply(result),
-            src=dst.name,
-            dst=request.src,
-            reply_to=request.msg_id,
+        self._dispatch(
+            Message(
+                reply_method,
+                Reply(result),
+                request.dst,
+                request.src,
+                request.future,
+                request.msg_id,
+            )
         )
-        self._dispatch(reply)

@@ -86,16 +86,18 @@ class ProbeProxy(Node):
             self._samples[target] = deque()
 
     def _probe_all(self) -> None:
+        # One round reads the clock once and sends every target the same
+        # payload: payloads are read-only once sent.
+        sent_clock = self.clock.now()
+        probe = Probe(sent_clock)
+        call = self._network.call
         for target in self._targets:
-            self._probe(target)
+            call(self, target, "probe", probe).add_done_callback(
+                partial(self._record, target, sent_clock)
+            )
         # The probe loop runs for the whole simulation and is never
         # cancelled, so it takes the kernel's timerless fast path.
         self.sim.post(self._interval, self._probe_all)
-
-    def _probe(self, target: str) -> None:
-        sent_clock = self.clock.now()
-        future = self._network.call(self, target, "probe", Probe(sent_clock))
-        future.add_done_callback(partial(self._record, target, sent_clock))
 
     def _record(self, target: str, sent_clock: float, reply_future) -> None:
         sample = reply_future.value.server_time - sent_clock

@@ -1,9 +1,13 @@
 """Tests for message delivery and RPC."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.cluster import Node
+from repro.faults import FaultInjector, FaultSchedule, blackhole
 from repro.net import LossConfig, Network, NetworkConfig, azure_topology
 from repro.sim import Future, Simulator
 
@@ -143,3 +147,76 @@ def test_network_counts_traffic():
     sim.run()
     assert net.messages_sent == 1
     assert net.bytes_sent > 100  # header alone is 120 bytes
+
+
+def test_blackholed_call_leaves_nothing_behind():
+    sim, net = build()
+    a = net.register(Echo(sim, "a", "VA"))
+    net.register(Echo(sim, "b", "WA"))
+    FaultInjector(sim, net, FaultSchedule((blackhole(0.0, 1.0),))).attach()
+
+    class Token:
+        pass
+
+    token = Token()
+    alive = weakref.ref(token)
+    future = net.call(a, "b", "echo", {"x": 1})
+    # Only the future references the token, so the token outlives this
+    # test's own references iff something still holds the future.
+    future.add_done_callback(lambda _f, _t=token: None)
+    del future, token
+    sim.run()
+    gc.collect()
+    assert net.messages_dropped == 1
+    assert alive() is None
+
+
+def test_reply_to_an_already_resolved_future_is_ignored():
+    sim, net = build()
+    a = net.register(Echo(sim, "a", "VA"))
+    net.register(Echo(sim, "b", "WA"))
+    future = net.call(a, "b", "echo", {"x": 1})
+    future.set_result("timed out")
+    sim.run()
+    assert net.messages_sent == 2  # the reply still travelled
+    assert future.value == "timed out"
+
+
+def test_send_to_a_returning_handler_sends_no_reply():
+    sim, net = build()
+    a = net.register(Echo(sim, "a", "VA"))
+    net.register(Echo(sim, "b", "WA"))
+    net.send(a, "b", "echo", {"x": 1})
+    sim.run()
+    assert net.messages_sent == 1
+
+
+class ScriptedFaults:
+    """A fault state returning a scripted (extra delay, floor) per message."""
+
+    active = True
+
+    def __init__(self, script):
+        self._script = list(script)
+
+    def route(self, src, dst, src_dc, dst_dc, delay):
+        extra, floor = self._script.pop(0)
+        return delay + extra, floor
+
+
+def test_fifo_floor_holds_under_a_fault_floor():
+    sim, net = build(config=NetworkConfig(model_bandwidth=False))
+    a = net.register(Echo(sim, "a", "VA"))
+    b = net.register(Echo(sim, "b", "WA"))
+    one_way = 0.067 / 2
+    net.set_faults(ScriptedFaults([(1.0, 0.0), (0.0, 0.5), (0.0, 2.0)]))
+    for name in ("m1", "m2", "m3"):
+        net.send(a, "b", name, {})
+    sim.run()
+    got = [(method, at) for method, _, at in b.received]
+    assert [method for method, _ in got] == ["m1", "m2", "m3"]
+    # m2's fault floor (0.5 s) is below m1's arrival, so the link's FIFO
+    # floor holds it behind m1; m3's fault floor is above both.
+    assert got[0][1] == pytest.approx(1.0 + one_way)
+    assert got[1][1] == got[0][1]
+    assert got[2][1] == 2.0
