@@ -17,10 +17,9 @@ from repro.core import (
     natto_recsf,
     natto_ts,
 )
-from repro.systems.base import Cluster, SystemConfig
-from repro.systems.client import ClientDriver
+from repro.harness import deploy, run_until_settled
+from repro.systems.base import SystemConfig
 from repro.txn.priority import Priority
-from repro.txn.stats import StatsCollector
 from repro.txn.transaction import TransactionSpec
 from repro.net.topology import azure_topology
 
@@ -52,18 +51,15 @@ def key_for_partition(partitioner, pid):
 def run_scenario(config, client_dc, keys_of, gap=0.020):
     """One low-priority then (gap later) one high-priority transaction
     over the same keys; returns (high latency ms, mechanism counters)."""
-    cluster = Cluster(
+    system = Natto(config)
+    cluster, clients, stats = deploy(
+        system,
         azure_topology(),
         SystemConfig(clock=ClockConfig(max_offset=0.0)),
-        seed=3,
+        3,
+        [("app", client_dc)],
     )
-    system = Natto(config)
-    system.setup(cluster)
-    stats = StatsCollector()
-    client = ClientDriver(
-        cluster.sim, cluster.network, "app", client_dc, system, stats,
-        clock=cluster.make_clock("app"),
-    )
+    (client,) = clients
     cluster.sim.run(until=WARMUP)
     keys = keys_of(cluster.partitioner)
 
@@ -73,7 +69,7 @@ def run_scenario(config, client_dc, keys_of, gap=0.020):
         client.submit(rmw("thigh", keys, Priority.HIGH))
 
     cluster.sim.spawn(scenario())
-    cluster.sim.run(until=WARMUP + 60)
+    run_until_settled(cluster.sim, clients, after=WARMUP + gap, cap=WARMUP + 60)
     high = next(r for r in stats.records if r.priority is Priority.HIGH)
     counters = {}
     for group in system.groups.values():

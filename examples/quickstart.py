@@ -8,10 +8,9 @@ Run:  python examples/quickstart.py
 """
 
 from repro.core import Natto, natto_recsf
-from repro.systems.base import Cluster, SystemConfig
-from repro.systems.client import ClientDriver
+from repro.harness import deploy
+from repro.systems.base import SystemConfig
 from repro.txn.priority import Priority
-from repro.txn.stats import StatsCollector
 from repro.txn.transaction import TransactionSpec
 from repro.net.topology import azure_topology
 
@@ -35,16 +34,11 @@ def transfer(txn_id, source, target, amount, priority):
 
 
 def main():
-    # 1. Deploy Natto (all mechanisms on) over the paper's topology.
-    cluster = Cluster(azure_topology(), SystemConfig(), seed=7)
+    # 1. Deploy Natto (all mechanisms on) over the paper's topology,
+    # 2. with one client application server in Virginia.
     system = Natto(natto_recsf())
-    system.setup(cluster)
-
-    # 2. One client application server in Virginia.
-    stats = StatsCollector()
-    client = ClientDriver(
-        cluster.sim, cluster.network, "app-va", "VA", system, stats,
-        clock=cluster.make_clock("app-va"),
+    cluster, (client,), stats = deploy(
+        system, azure_topology(), SystemConfig(), 7, [("app-va", "VA")]
     )
 
     # 3. Give the probe proxies a moment to learn network delays, then

@@ -12,7 +12,10 @@ Measurement follows §5.1:
   paper trims 10 s off both ends of a 60 s run — scaled runs trim
   proportionally);
 * experiments are repeated with independent seeds; aggregates carry a
-  95% confidence interval.
+  95% confidence interval;
+* a run ends once every transaction has finished and a settle window
+  has passed (:func:`run_until_settled`), never later than the drain
+  cap; what happens after the last transaction never changes a result.
 
 Simulated durations are configurable because a full 60 s x 10 repeats
 paper run is hours of host CPU; the benchmark suite uses scaled-down
@@ -25,14 +28,15 @@ import math
 import os
 import re
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.net.topology import Topology, azure_topology
 from repro.obs.core import Observability
 from repro.systems.base import Cluster, SystemConfig, TransactionSystem
-from repro.systems.client import ClientDriver
+from repro.sim import Simulator
+from repro.systems.client import MAX_RETRIES, ClientDriver
 from repro.txn.priority import Priority
 from repro.txn.stats import StatsCollector
 from repro.workloads.base import Workload
@@ -83,7 +87,7 @@ class ExperimentSettings:
     duration: float = 20.0      # load-generation span (paper: 60 s)
     trim: float = 4.0           # cut from both ends (paper: 10 s)
     probe_warmup: float = 2.0   # delay-estimate warm-up before load
-    drain: float = 15.0         # post-load settling time
+    drain: float = 15.0         # cap on simulated time after load
     seed: int = 0
     #: Attach an :class:`~repro.obs.core.Observability` to the run's
     #: simulator (spans, events, metrics).  Defaults to the module-level
@@ -112,6 +116,9 @@ class ExperimentResult:
     stats: StatsCollector
     window: tuple
     input_rate: float
+    #: Transactions still in flight when the run stopped: work the
+    #: metrics leave out because the drain cap cut it off.
+    unfinished: int
     #: The deployed system object (stores, counters) for post-hoc
     #: inspection; None after serialization.
     system: Optional[TransactionSystem] = None
@@ -165,30 +172,27 @@ def run_experiment(
     input_rate: float,
     settings: ExperimentSettings = ExperimentSettings(),
 ) -> ExperimentResult:
-    """One run of one system at one input rate."""
-    system = system_factory()
-    cluster = Cluster(
-        settings.topology_factory(), settings.system_config, settings.seed
-    )
-    obs = Observability().attach(cluster.sim) if settings.tracing else None
-    system.setup(cluster)
-    stats = StatsCollector()
-    workload = workload_factory(cluster.streams.stream("workload"))
+    """One run of one system at one input rate.
 
-    clients: List[ClientDriver] = []
-    for dc in cluster.topology.datacenters:
-        for i in range(settings.clients_per_dc):
-            name = f"client-{dc}-{i}"
-            client = ClientDriver(
-                cluster.sim,
-                cluster.network,
-                name,
-                dc,
-                system,
-                stats,
-                clock=cluster.make_clock(name),
-            )
-            clients.append(client)
+    Load runs from ``probe_warmup`` for ``duration``; the run then ends
+    through :func:`run_until_settled`, capped ``drain`` after the load.
+    """
+    system = system_factory()
+    topology = settings.topology_factory()
+    obs = Observability() if settings.tracing else None
+    cluster, clients, stats = deploy(
+        system,
+        topology,
+        settings.system_config,
+        settings.seed,
+        [
+            (f"client-{dc}-{i}", dc)
+            for dc in topology.datacenters
+            for i in range(settings.clients_per_dc)
+        ],
+        obs=obs,
+    )
+    workload = workload_factory(cluster.streams.stream("workload"))
 
     per_client_rate = input_rate / len(clients)
     load_start = settings.probe_warmup
@@ -200,7 +204,9 @@ def run_experiment(
             client.run_open_loop(workload, per_client_rate, load_end, rng)
 
     cluster.sim.schedule(load_start, start_load)
-    cluster.sim.run(until=load_end + settings.drain)
+    run_until_settled(
+        cluster.sim, clients, after=load_end, cap=load_end + settings.drain
+    )
 
     window = (load_start + settings.trim, load_end - settings.trim)
     snapshot = None
@@ -209,9 +215,86 @@ def run_experiment(
         if settings.trace_dir is not None:
             _export_trace(obs, system.name, settings, input_rate)
     return ExperimentResult(
-        system.name, stats, window, input_rate, system,
-        obs=obs, obs_snapshot=snapshot,
+        system.name, stats, window, input_rate,
+        unfinished=sum(client.inflight for client in clients),
+        system=system, obs=obs, obs_snapshot=snapshot,
     )
+
+
+def deploy(
+    system: TransactionSystem,
+    topology: Topology,
+    config: SystemConfig,
+    seed: int,
+    clients: Iterable[Tuple[str, str]],
+    max_retries: int = MAX_RETRIES,
+    obs: Optional[Observability] = None,
+) -> Tuple[Cluster, List[ClientDriver], StatsCollector]:
+    """Build a cluster, set ``system`` up on it, and add its clients.
+
+    ``clients`` holds one ``(name, datacenter)`` pair per client.  Every
+    client gets the clock ``cluster.make_clock(name)`` and reports to
+    one shared :class:`StatsCollector`.  Random and clock streams are
+    keyed by name, so a name fixes a client's behaviour.  ``obs``, if
+    given, is attached before the setup, so it also sees the messages
+    the setup sends.
+    """
+    cluster = Cluster(topology, config, seed)
+    if obs is not None:
+        obs.attach(cluster.sim)
+    system.setup(cluster)
+    stats = StatsCollector()
+    drivers = [
+        ClientDriver(
+            cluster.sim,
+            cluster.network,
+            name,
+            dc,
+            system,
+            stats,
+            max_retries=max_retries,
+            clock=cluster.make_clock(name),
+        )
+        for name, dc in clients
+    ]
+    return cluster, drivers, stats
+
+
+#: Simulated seconds between checks for transactions still in flight.
+STEP_S = 0.1
+
+#: Simulated seconds run on after the last transaction finished.
+SETTLE_S = 5.0
+
+
+def run_until_settled(
+    sim: Simulator,
+    clients: Sequence[ClientDriver],
+    after: float,
+    cap: float,
+) -> bool:
+    """Run to ``after``, then until no client has a transaction in
+    flight, then :data:`SETTLE_S` more; never past ``cap``.
+
+    ``after`` must not precede the last submission: a gap with nothing
+    in flight is only read as the end of the run after it.  The loop
+    checks every :data:`STEP_S`.  The settle window is there because a
+    client learns its transaction's outcome before the protocol is
+    done: a coordinator acks the client before the participant replicas
+    install the writes, so replica state is inspected only after that
+    tail.  Returns whether every transaction finished.
+    """
+
+    def busy() -> bool:
+        return any(client.inflight for client in clients)
+
+    sim.run(until=min(after, cap))
+    steps = 0
+    while busy() and sim.now < cap:
+        steps += 1
+        sim.run(until=min(after + steps * STEP_S, cap))
+    sim.run(until=min(sim.now + SETTLE_S, cap))
+    return not busy()
 
 
 def slugify(text) -> str:

@@ -89,13 +89,6 @@ class Payload:
         """The dict form of this payload: the wire-size reference."""
         return {name: getattr(self, name) for name in self._fields}
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
-
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         fields = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
         return f"<{type(self).__name__} {fields}>"

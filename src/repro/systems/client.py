@@ -33,6 +33,9 @@ from repro.sim import Simulator
 from repro.txn.stats import StatsCollector, TxnOutcome, TxnRecord
 from repro.txn.transaction import TransactionSpec
 
+#: Retries after which a client gives a transaction up (§5.1).
+MAX_RETRIES = 100
+
 
 class ClientDriver(Node):
     """One client machine."""
@@ -45,7 +48,7 @@ class ClientDriver(Node):
         datacenter: str,
         system: "TransactionSystem",  # noqa: F821 - avoid import cycle
         stats: StatsCollector,
-        max_retries: int = 100,
+        max_retries: int = MAX_RETRIES,
         clock=None,
     ) -> None:
         super().__init__(sim, name, datacenter, clock=clock)

@@ -21,6 +21,7 @@ from repro.verify.history import (
     ExecutionTrace,
     SerializabilityChecker,
     SerializationViolation,
+    enable_history,
     tagged_rmw_spec,
 )
 from repro.verify.invariants import (
@@ -47,6 +48,7 @@ __all__ = [
     "check_priority",
     "check_raft",
     "check_replica_consistency",
+    "enable_history",
     "fingerprint_records",
     "fingerprint_result",
     "partition_stores",

@@ -25,7 +25,9 @@ import numpy as np
 
 from repro.faults import FaultInjector, FaultSchedule, random_schedule
 from repro.faults.schedule import FaultEvent
+from repro.harness.experiment import deploy, run_until_settled
 from repro.harness.systems import make_system
+from repro.net.topology import azure_topology
 from repro.obs import Observability
 from repro.systems.base import SystemConfig
 from repro.txn.priority import Priority
@@ -34,6 +36,7 @@ from repro.verify.history import (
     ExecutionTrace,
     SerializabilityChecker,
     SerializationViolation,
+    enable_history,
     tagged_rmw_spec,
 )
 from repro.verify.invariants import (
@@ -53,6 +56,10 @@ FUZZ_SYSTEMS: Tuple[str, ...] = (
 )
 
 _PRIORITIES = (Priority.LOW, Priority.MEDIUM, Priority.HIGH)
+
+#: Simulated time at which a scenario is cut off if some transaction
+#: still has no outcome; reaching it is reported as a liveness violation.
+QUIESCENCE_CAP = 900.0
 
 
 @dataclass(frozen=True)
@@ -154,16 +161,6 @@ class ScenarioOutcome:
 # Scenario execution
 
 
-def _enable_history(system) -> None:
-    groups = list(system.groups.values())
-    groups += list(getattr(system, "coordinators", {}).values())
-    for group in groups:
-        for replica in group.replicas:
-            store = getattr(replica, "store", None)
-            if store is not None:
-                store.record_history = True
-
-
 def _fault_targets(system) -> Tuple[List[str], List[str], List[str]]:
     """(crashable followers, pausable leaders, skewable replicas).
 
@@ -198,40 +195,21 @@ def _shift(schedule: FaultSchedule, offset: float) -> FaultSchedule:
     )
 
 
-def run_scenario(
-    spec: ScenarioSpec,
-    quiescence_cap: float = 900.0,
-) -> ScenarioOutcome:
+def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
     """Build, fault, load, drain and check one scenario."""
-    config = SystemConfig(delay_variance_cv=0.01)
-    # Late import: tests.helpers is not packaged; inline the deployment.
-    from repro.net.topology import azure_topology
-    from repro.systems.base import Cluster
-    from repro.systems.client import ClientDriver
-    from repro.txn.stats import StatsCollector
-
     system = make_system(spec.system)
-    cluster = Cluster(azure_topology(), config, seed=spec.seed)
-    system.setup(cluster)
-    stats = StatsCollector()
-    clients = []
-    for dc in spec.clients:
-        name = f"client-{dc}-{len(clients)}"
-        client = ClientDriver(
-            cluster.sim,
-            cluster.network,
-            name,
-            dc,
-            system,
-            stats,
-            clock=cluster.make_clock(name),
-        )
-        # The fuzz workload is intentionally adversarial; lift the paper's
-        # 100-retry budget so convergence is part of what we verify.
-        client.max_retries = 1000
-        clients.append(client)
+    # The fuzz workload is intentionally adversarial; lift the paper's
+    # 100-retry budget so convergence is part of what we verify.
+    cluster, clients, stats = deploy(
+        system,
+        azure_topology(),
+        SystemConfig(delay_variance_cv=0.01),
+        spec.seed,
+        [(f"client-{dc}-{k}", dc) for k, dc in enumerate(spec.clients)],
+        max_retries=1000,
+    )
 
-    _enable_history(system)
+    enable_history(system)
     obs = Observability(enabled=True).attach(cluster.sim)
 
     followers, leaders, replicas = _fault_targets(system)
@@ -277,30 +255,26 @@ def run_scenario(
     cluster.sim.spawn(burst())
 
     submitted = len(spec.clients) * spec.rounds * spec.txns_per_client
-    # Run past the last fault window, then in chunks until every
-    # submitted transaction reached a terminal outcome (all faults here
-    # delay messages rather than drop them, so quiescence is guaranteed
-    # — the cap is a harness safety net, and hitting it is a violation).
-    deadline = max(
+    # Run past the last fault window and the last submission, then until
+    # every transaction reached a terminal outcome, plus the settle
+    # window.  All faults here delay messages rather than drop them, so
+    # quiescence is guaranteed: the cap is a harness safety net, and
+    # hitting it is a violation.
+    after = max(
         schedule.horizon + 2.0,
         spec.warmup + spec.rounds * spec.round_gap + 5.0,
     )
-    cluster.sim.run(until=deadline)
-    while len(stats.records) < submitted and deadline < quiescence_cap:
-        deadline += 30.0
-        cluster.sim.run(until=deadline)
-    # Client-terminal is not server-quiescent: coordinators ack clients
-    # before participant replicas finish installing writes, so give the
-    # protocol tail a settling window before inspecting replica state.
-    cluster.sim.run(until=deadline + 5.0)
+    settled = run_until_settled(
+        cluster.sim, clients, after=after, cap=QUIESCENCE_CAP
+    )
 
     report = InvariantReport()
-    if len(stats.records) < submitted:
+    if not settled:
         report.violations.append(
             Violation(
                 "liveness",
                 f"{submitted - len(stats.records)} of {submitted} "
-                f"transactions still unresolved at t={deadline:.0f}s",
+                f"transactions still unresolved at t={cluster.sim.now:.0f}s",
             )
         )
     committed = [r.txn_id for r in stats.records if r.committed]

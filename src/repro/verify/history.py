@@ -79,6 +79,18 @@ def tagged_rmw_spec(
     )
 
 
+def enable_history(system) -> None:
+    """Make every replica store of ``system`` keep its version chains,
+    which the serializability checker reads."""
+    groups = list(system.groups.values())
+    groups += list(getattr(system, "coordinators", {}).values())
+    for group in groups:
+        for replica in group.replicas:
+            store = getattr(replica, "store", None)
+            if store is not None:
+                store.record_history = True
+
+
 def writer_of_value(value: str, key: str) -> str:
     """Map a read value back to the transaction that wrote it."""
     suffix = f"@{key}"

@@ -110,6 +110,7 @@ def test_equal_priorities_never_preempt_each_other():
 def test_three_levels_end_to_end():
     from tests.helpers import build_system, rmw_spec
     from repro.core import Natto
+    from repro.harness import run_until_settled
 
     cluster, clients, stats = build_system(
         Natto(natto_pa()), client_dcs=["VA"]
@@ -125,7 +126,7 @@ def test_three_levels_end_to_end():
         client.submit(rmw_spec("th", ["hot"], priority=Priority.HIGH))
 
     cluster.sim.spawn(staged())
-    cluster.sim.run(until=60.0)
+    run_until_settled(cluster.sim, clients, after=2.5 + 2 * 0.01, cap=60.0)
     assert all(r.committed for r in stats.records)
     high = next(r for r in stats.records if r.priority is Priority.HIGH)
     assert high.retries == 0

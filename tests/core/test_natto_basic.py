@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Natto, natto_ts
+from repro.harness import run_until_settled
 from repro.txn.priority import Priority
 
 from tests.helpers import build_system, rmw_spec
@@ -21,7 +22,7 @@ def build(config=None, client_dcs=None, seed=0):
 def test_single_transaction_commits():
     cluster, clients, stats = build()
     clients[0].submit(rmw_spec("t1", ["alpha", "beta"]))
-    cluster.sim.run(until=WARMUP + 10)
+    run_until_settled(cluster.sim, clients, after=WARMUP, cap=WARMUP + 10)
     (record,) = stats.records
     assert record.committed
     assert record.retries == 0
@@ -42,7 +43,7 @@ def test_latency_close_to_carousel_basic_at_no_contention():
         )
         cluster.sim.run(until=WARMUP)
         clients[0].submit(rmw_spec("t1", [f"key-{i}" for i in range(10)]))
-        cluster.sim.run(until=WARMUP + 10)
+        run_until_settled(cluster.sim, clients, after=WARMUP, cap=WARMUP + 10)
         results[label] = stats.records[0].latency
     assert results["natto"] == pytest.approx(results["carousel"], rel=0.25)
 
@@ -50,7 +51,7 @@ def test_latency_close_to_carousel_basic_at_no_contention():
 def test_timestamps_are_in_the_future_at_enqueue():
     cluster, clients, stats = build()
     clients[0].submit(rmw_spec("t1", ["k"]))
-    cluster.sim.run(until=WARMUP + 10)
+    run_until_settled(cluster.sim, clients, after=WARMUP, cap=WARMUP + 10)
     system = clients[0].system
     late = sum(
         g.leader.stats["late_aborts"] for g in system.groups.values()
@@ -71,7 +72,9 @@ def test_conflicting_transactions_commit_without_occ_aborts_in_ts_order():
         clients[1].submit(rmw_spec("t2", ["hot"], marker="B"))
 
     cluster.sim.spawn(staged())
-    cluster.sim.run(until=WARMUP + 30)
+    run_until_settled(
+        cluster.sim, clients, after=WARMUP + 0.5, cap=WARMUP + 30
+    )
     assert all(r.committed for r in stats.records)
     assert all(r.retries == 0 for r in stats.records)
 
@@ -87,7 +90,9 @@ def test_high_priority_waits_for_earlier_conflicts_instead_of_aborting():
                                    marker="H"))
 
     cluster.sim.spawn(staged())
-    cluster.sim.run(until=WARMUP + 30)
+    run_until_settled(
+        cluster.sim, clients, after=WARMUP + 0.05, cap=WARMUP + 30
+    )
     assert len(stats.records) == 2
     assert all(r.committed for r in stats.records)
     high = next(r for r in stats.records if r.priority is Priority.HIGH)
@@ -98,7 +103,7 @@ def test_store_state_serializes_conflicting_writers():
     cluster, clients, stats = build(client_dcs=["VA", "SG"])
     clients[0].submit(rmw_spec("t1", ["hot"], marker="A"))
     clients[1].submit(rmw_spec("t2", ["hot"], marker="B"))
-    cluster.sim.run(until=WARMUP + 60)
+    run_until_settled(cluster.sim, clients, after=WARMUP, cap=WARMUP + 60)
     assert all(r.committed for r in stats.records)
     system = clients[0].system
     pid = cluster.partitioner.partition_of("hot")
@@ -111,7 +116,7 @@ def test_server_structures_drain_after_quiescence():
     for i, client in enumerate(clients):
         for j in range(5):
             client.submit(rmw_spec(f"t{i}-{j}", [f"k{j % 2}"]))
-    cluster.sim.run(until=WARMUP + 120)
+    run_until_settled(cluster.sim, clients, after=WARMUP, cap=WARMUP + 120)
     assert all(r.committed for r in stats.records)
     for group in clients[0].system.groups.values():
         leader = group.leader
@@ -125,7 +130,7 @@ def test_follower_stores_converge():
     cluster, clients, stats = build()
     for i in range(5):
         clients[0].submit(rmw_spec(f"t{i}", [f"key-{i}"]))
-    cluster.sim.run(until=WARMUP + 30)
+    run_until_settled(cluster.sim, clients, after=WARMUP, cap=WARMUP + 30)
     assert all(r.committed for r in stats.records)
     for group in clients[0].system.groups.values():
         for replica in group.replicas:

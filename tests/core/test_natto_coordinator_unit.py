@@ -93,7 +93,9 @@ def test_commits_when_all_votes_firm_and_epochs_match():
     vote(coord, "t1", 1)
     commit_request(coord, "t1", {0: 0, 1: 0})
     sim.run(until=1.0)
-    assert decisions(client) == [DecisionEvent("t1", True)]
+    assert [e.as_dict() for e in decisions(client)] == [
+        DecisionEvent("t1", True).as_dict()
+    ]
 
 
 def test_conditional_vote_blocks_commit_until_resolved():
@@ -146,7 +148,9 @@ def test_no_vote_aborts_immediately():
     sim, coord, client = build()
     vote(coord, "t1", 0, vote="no")
     sim.run(until=1.0)
-    assert decisions(client) == [DecisionEvent("t1", False)]
+    assert [e.as_dict() for e in decisions(client)] == [
+        DecisionEvent("t1", False).as_dict()
+    ]
 
 
 def test_recsf_forward_served_on_commit():
@@ -156,8 +160,8 @@ def test_recsf_forward_served_on_commit():
     vote(coord, "t1", 1)
     commit_request(coord, "t1", {0: 0, 1: 0})
     sim.run(until=1.0)
-    assert recsf_reads(client) == [
-        PartitionValuesEvent("t2", "recsf_reads", 0, {"k": "v"})
+    assert [e.as_dict() for e in recsf_reads(client)] == [
+        PartitionValuesEvent("t2", "recsf_reads", 0, {"k": "v"}).as_dict()
     ]
 
 

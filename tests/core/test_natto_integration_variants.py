@@ -12,6 +12,7 @@ from repro.core import (
     natto_recsf,
     natto_ts,
 )
+from repro.harness import run_until_settled
 from repro.txn.priority import Priority
 
 from tests.helpers import build_system, rmw_spec
@@ -46,7 +47,9 @@ def run_burst(config_factory, seed=0):
             yield 0.25
 
     cluster.sim.spawn(burst())
-    cluster.sim.run(until=WARMUP + 120)
+    run_until_settled(
+        cluster.sim, clients, after=WARMUP + 5 * 0.25, cap=WARMUP + 120
+    )
     return cluster, clients, stats
 
 

@@ -16,6 +16,7 @@ from repro.core import (
     natto_recsf,
     natto_ts,
 )
+from repro.harness import run_until_settled
 from repro.systems.base import SystemConfig
 from repro.txn.priority import Priority
 
@@ -75,7 +76,9 @@ def test_priority_abort_evicts_queued_low_priority_transaction():
         client.submit(rmw_spec("thigh", [near, far], priority=Priority.HIGH))
 
     cluster.sim.spawn(staged())
-    cluster.sim.run(until=WARMUP + 60)
+    run_until_settled(
+        cluster.sim, clients, after=WARMUP + 0.020, cap=WARMUP + 60
+    )
     assert all(r.committed for r in stats.records)
     high = next(r for r in stats.records if r.priority is Priority.HIGH)
     low = next(r for r in stats.records if r.priority is Priority.LOW)
@@ -102,7 +105,9 @@ def test_priority_abort_skipped_when_low_priority_completes_in_time():
         client.submit(rmw_spec("thigh", [near, far], priority=Priority.HIGH))
 
     cluster.sim.spawn(staged())
-    cluster.sim.run(until=WARMUP + 60)
+    run_until_settled(
+        cluster.sim, clients, after=WARMUP + 0.005, cap=WARMUP + 60
+    )
     assert all(r.committed for r in stats.records)
     assert all(r.retries == 0 for r in stats.records)
     aborts = leader_stats(clients[0].system, "priority_aborts")
@@ -122,7 +127,9 @@ def test_without_pa_low_priority_is_not_evicted():
         client.submit(rmw_spec("thigh", [near, far], priority=Priority.HIGH))
 
     cluster.sim.spawn(staged())
-    cluster.sim.run(until=WARMUP + 60)
+    run_until_settled(
+        cluster.sim, clients, after=WARMUP + 0.020, cap=WARMUP + 60
+    )
     assert all(r.committed for r in stats.records)
     low = next(r for r in stats.records if r.priority is Priority.LOW)
     assert low.retries == 0  # never aborted
@@ -147,7 +154,9 @@ def test_pa_reduces_high_priority_latency():
             )
 
         cluster.sim.spawn(staged())
-        cluster.sim.run(until=WARMUP + 60)
+        run_until_settled(
+            cluster.sim, clients, after=WARMUP + 0.020, cap=WARMUP + 60
+        )
         high = next(r for r in stats.records if r.priority is Priority.HIGH)
         latencies[label] = high.latency
     assert latencies["pa"] < latencies["no_pa"]
@@ -174,7 +183,9 @@ def test_conditional_prepare_fires_and_condition_succeeds():
         client.submit(rmw_spec("thigh", [near, far], priority=Priority.HIGH))
 
     cluster.sim.spawn(staged())
-    cluster.sim.run(until=WARMUP + 60)
+    run_until_settled(
+        cluster.sim, clients, after=WARMUP + 0.020, cap=WARMUP + 60
+    )
     assert all(r.committed for r in stats.records)
     high = next(r for r in stats.records if r.priority is Priority.HIGH)
     assert high.retries == 0
@@ -206,7 +217,9 @@ def test_cp_latency_not_worse_than_pa_only():
             )
 
         cluster.sim.spawn(staged())
-        cluster.sim.run(until=WARMUP + 60)
+        run_until_settled(
+            cluster.sim, clients, after=WARMUP + 0.020, cap=WARMUP + 60
+        )
         high = next(r for r in stats.records if r.priority is Priority.HIGH)
         latencies[label] = high.latency
     assert latencies["cp"] <= latencies["pa"] + 1e-9
@@ -228,7 +241,9 @@ def lecsf_scenario(config):
         client.submit(rmw_spec("t2", [far], priority=Priority.HIGH))
 
     cluster.sim.spawn(staged())
-    cluster.sim.run(until=WARMUP + 60)
+    run_until_settled(
+        cluster.sim, clients, after=WARMUP + 0.010, cap=WARMUP + 60
+    )
     assert all(r.committed for r in stats.records)
     high = next(r for r in stats.records if r.priority is Priority.HIGH)
     return high.latency
@@ -258,7 +273,9 @@ def recsf_scenario(config):
         client.submit(rmw_spec("t2", [nsw], priority=Priority.HIGH))
 
     cluster.sim.spawn(staged())
-    cluster.sim.run(until=WARMUP + 60)
+    run_until_settled(
+        cluster.sim, clients, after=WARMUP + 0.010, cap=WARMUP + 60
+    )
     assert all(r.committed for r in stats.records)
     high = next(r for r in stats.records if r.priority is Priority.HIGH)
     return high.latency, clients[0].system

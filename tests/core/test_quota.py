@@ -75,6 +75,7 @@ def test_quota_demotes_in_live_system():
     """End to end: a zero-rate quota turns every 'high' transaction into
     a low-priority one — PA never fires."""
     from repro.core import Natto, natto_pa
+    from repro.harness import run_until_settled
     from tests.helpers import build_system, rmw_spec
     from repro.txn.priority import Priority as P
 
@@ -93,7 +94,7 @@ def test_quota_demotes_in_live_system():
         client.submit(rmw_spec("t3", ["hot"], priority=P.HIGH))
 
     cluster.sim.spawn(staged())
-    cluster.sim.run(until=30.0)
+    run_until_settled(cluster.sim, clients, after=2.5 + 2 * 0.02, cap=30.0)
     assert all(r.committed for r in stats.records)
     # Only the first high-priority admission fit the burst of 1.
     assert quota.demotions == 2

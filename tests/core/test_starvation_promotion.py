@@ -7,6 +7,7 @@ steady stream of high-priority traffic cannot starve it forever.
 """
 
 from repro.core import Natto, natto_pa
+from repro.harness import run_until_settled
 from repro.txn.priority import Priority
 
 from tests.helpers import build_system, rmw_spec
@@ -36,7 +37,9 @@ def run_scenario(promote_after):
             )
 
     cluster.sim.spawn(staged())
-    cluster.sim.run(until=WARMUP + 120)
+    run_until_settled(
+        cluster.sim, clients, after=WARMUP + 30 * 0.05, cap=WARMUP + 120
+    )
     victim = next(r for r in stats.records if r.txn_id == "victim")
     return victim
 
@@ -68,5 +71,7 @@ def test_promotion_preserves_commitment_of_everyone():
             )
 
     cluster.sim.spawn(staged())
-    cluster.sim.run(until=WARMUP + 60)
+    run_until_settled(
+        cluster.sim, clients, after=WARMUP + 5 * 0.1, cap=WARMUP + 60
+    )
     assert all(r.committed for r in stats.records)

@@ -4,15 +4,29 @@ import math
 
 import pytest
 
+from repro.faults import FaultInjector, FaultSchedule, blackhole
 from repro.harness import (
     ExperimentSettings,
+    deploy,
     make_system,
     run_experiment,
     run_repeated,
+    run_until_settled,
 )
+from repro.harness.experiment import SETTLE_S, STEP_S
 from repro.harness.systems import SYSTEM_FACTORIES
+from repro.net.topology import azure_topology
+from repro.systems.base import SystemConfig
 from repro.txn.priority import Priority
+from repro.verify import fingerprint_records
 from repro.workloads import YcsbTWorkload
+
+from tests.helpers import rmw_spec
+from tests.verify.test_fingerprint_pinned import (
+    FINGERPRINT_KEYS,
+    FINGERPRINT_RATE,
+    FINGERPRINT_SCALE,
+)
 
 FAST = ExperimentSettings(duration=3.0, trim=0.5, drain=5.0)
 
@@ -130,3 +144,78 @@ def test_priority_split_in_goodput():
     low = result.goodput(Priority.LOW)
     assert high < low  # 10/90 split
     assert high + low == pytest.approx(result.goodput(), rel=1e-6)
+
+
+def test_unfinished_counts_what_the_drain_cap_cut_off():
+    # The pinned fingerprint point stops its drain while most
+    # transactions are still in flight.
+    result = run_experiment(
+        lambda: make_system("2PL+2PC"),
+        lambda rng: YcsbTWorkload(rng, num_keys=FINGERPRINT_KEYS),
+        FINGERPRINT_RATE,
+        FINGERPRINT_SCALE.apply(ExperimentSettings()).scaled(seed=0),
+    )
+    assert result.unfinished > 0
+    assert result.detach().unfinished == result.unfinished
+
+
+def test_a_run_that_finishes_leaves_nothing_unfinished():
+    result = run_experiment(
+        lambda: make_system("Carousel Basic"),
+        lambda rng: YcsbTWorkload(rng, num_keys=100_000),
+        20,
+        FAST,
+    )
+    assert result.stats.records
+    assert result.unfinished == 0
+
+
+def _burst(submit_times=(0.0, 0.0, 0.0), cap=30.0, schedule=None):
+    """A Carousel Basic deployment with one client in VA that submits
+    one transaction at each of ``submit_times``."""
+    cluster, clients, stats = deploy(
+        make_system("Carousel Basic"),
+        azure_topology(),
+        SystemConfig(),
+        0,
+        [("client-VA-0", "VA")],
+    )
+    if schedule is not None:
+        FaultInjector(cluster.sim, cluster.network, schedule).attach()
+    for i, at in enumerate(submit_times):
+        spec = rmw_spec(f"t{i}", ["hot"])
+        cluster.sim.schedule(at, lambda spec=spec: clients[0].submit(spec))
+    return cluster.sim, clients, stats
+
+
+def test_a_run_stops_one_settle_window_after_its_last_record():
+    sim, clients, stats = _burst()
+    assert run_until_settled(sim, clients, after=0.0, cap=30.0)
+    last = max(record.end for record in stats.records)
+    assert last + SETTLE_S <= sim.now <= last + SETTLE_S + STEP_S
+    assert len(stats.records) == 3
+
+    sim, _, straight = _burst()
+    sim.run(until=30.0)
+    assert fingerprint_records(stats.records) == fingerprint_records(
+        straight.records
+    )
+
+
+def test_an_idle_gap_before_after_does_not_end_the_run():
+    sim, clients, stats = _burst(submit_times=(0.0, 10.0))
+    assert run_until_settled(sim, clients, after=10.0, cap=60.0)
+    assert [record.txn_id for record in stats.records] == ["t0", "t1"]
+    assert stats.records[0].end < 10.0
+    assert sim.now >= stats.records[1].end + SETTLE_S
+
+
+def test_a_transaction_that_cannot_finish_runs_to_the_cap():
+    sim, clients, stats = _burst(
+        submit_times=(0.0,),
+        schedule=FaultSchedule((blackhole(0.0, 100.0, src="client-VA-0"),)),
+    )
+    assert not run_until_settled(sim, clients, after=0.0, cap=20.0)
+    assert sim.now == 20.0
+    assert stats.records == []
+    assert clients[0].inflight == 1

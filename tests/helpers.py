@@ -5,11 +5,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.harness.experiment import deploy
 from repro.net.topology import Topology, azure_topology
-from repro.systems.base import Cluster, SystemConfig, TransactionSystem
-from repro.systems.client import ClientDriver
+from repro.systems.base import SystemConfig, TransactionSystem
+from repro.systems.client import MAX_RETRIES
 from repro.txn.priority import Priority
-from repro.txn.stats import StatsCollector
 from repro.txn.transaction import TransactionSpec
 
 
@@ -19,24 +19,22 @@ def build_system(
     config: Optional[SystemConfig] = None,
     seed: int = 0,
     client_dcs: Optional[List[str]] = None,
+    max_retries: int = MAX_RETRIES,
 ):
-    """Deploy ``system`` on a cluster with one client per datacenter."""
-    cluster = Cluster(topology or azure_topology(), config or SystemConfig(), seed)
-    system.setup(cluster)
-    stats = StatsCollector()
-    clients = []
-    for dc in client_dcs or cluster.topology.datacenters:
-        client = ClientDriver(
-            cluster.sim,
-            cluster.network,
-            f"client-{dc}-{len(clients)}",
-            dc,
-            system,
-            stats,
-            clock=cluster.make_clock(f"client-{dc}-{len(clients)}"),
-        )
-        clients.append(client)
-    return cluster, clients, stats
+    """Deploy ``system`` with one client per datacenter (or per entry of
+    ``client_dcs``), the ``k``-th named ``client-{dc}-{k}``."""
+    topology = topology or azure_topology()
+    return deploy(
+        system,
+        topology,
+        config or SystemConfig(),
+        seed,
+        [
+            (f"client-{dc}-{k}", dc)
+            for k, dc in enumerate(client_dcs or topology.datacenters)
+        ],
+        max_retries,
+    )
 
 
 def rmw_spec(txn_id, keys, priority=Priority.LOW, marker="w"):

@@ -198,12 +198,6 @@ def test_shape_default_is_readable_and_off_the_wire(instance, field, default):
     assert instance.wire_size == estimate_size(instance.as_dict())
 
 
-def test_payload_equality_across_objects():
-    assert ReleaseLocks("t1") == ReleaseLocks("t1")
-    assert ReleaseLocks("t1") != ReleaseLocks("t2")
-    assert Refusal(None) != ReleaseLocks("t1")
-
-
 def test_message_wire_size_uses_payload_precompute():
     request = AppendEntries(3, "raft-0", 7, 2, [(3, {"k": "v"})], 6)
     message = Message("append_entries", request, "raft-0", "raft-1")

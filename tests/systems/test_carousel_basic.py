@@ -2,20 +2,22 @@
 
 import pytest
 
+from repro.harness import run_until_settled
 from repro.systems.carousel import CarouselBasic
 from repro.txn.priority import Priority
 
 from tests.helpers import build_system, read_spec, rmw_spec, write_spec
 
 
-def run(cluster, until=10.0):
-    cluster.sim.run(until=until)
+def run(cluster, clients, until=10.0):
+    """Run until the submitted transactions settle, capped at ``until``."""
+    run_until_settled(cluster.sim, clients, after=cluster.sim.now, cap=until)
 
 
 def test_single_transaction_commits():
     cluster, clients, stats = build_system(CarouselBasic(), client_dcs=["VA"])
     clients[0].submit(rmw_spec("t1", ["alpha", "beta"]))
-    run(cluster)
+    run(cluster, clients)
     (record,) = stats.records
     assert record.committed
     assert record.retries == 0
@@ -25,7 +27,7 @@ def test_commit_latency_is_about_two_wan_round_trips():
     cluster, clients, stats = build_system(CarouselBasic(), client_dcs=["VA"])
     # Keys spread over all partitions: the furthest leader dominates.
     clients[0].submit(rmw_spec("t1", [f"key-{i}" for i in range(10)]))
-    run(cluster)
+    run(cluster, clients)
     (record,) = stats.records
     # Read round: RTT to the furthest leader (VA->SG, 214 ms).  Commit:
     # prepare replication + vote transit, bounded by ~2x the furthest
@@ -61,7 +63,9 @@ def test_writes_become_visible_to_later_transactions():
         )
 
     cluster.sim.spawn(sequence())
-    run(cluster)
+    # Submits its second transaction after a gap with nothing in flight,
+    # so it runs to a fixed horizon.
+    cluster.sim.run(until=10.0)
     assert observed.get("k") == "hello"
 
 
@@ -72,7 +76,7 @@ def test_conflicting_transactions_serialize_with_retries():
     # Both transactions hammer the same key from different continents.
     clients[0].submit(rmw_spec("tva", ["hot"], marker="A"))
     clients[1].submit(rmw_spec("tsg", ["hot"], marker="B"))
-    run(cluster, until=30.0)
+    run(cluster, clients, until=30.0)
     assert len(stats.records) == 2
     assert all(r.committed for r in stats.records)
     # The value must contain both markers exactly once each.
@@ -99,7 +103,7 @@ def test_follower_stores_converge_to_leader():
     cluster, clients, stats = build_system(CarouselBasic(), client_dcs=["VA"])
     for i in range(5):
         clients[0].submit(write_spec(f"t{i}", [f"key-{i}"], f"value-{i}"))
-    run(cluster, until=20.0)
+    run(cluster, clients, until=20.0)
     assert all(r.committed for r in stats.records)
     for group in _groups(cluster):
         leader_data = {
@@ -115,7 +119,7 @@ def test_prepared_sets_drain_after_quiescence():
     cluster, clients, stats = build_system(CarouselBasic(), client_dcs=["VA"])
     for i in range(10):
         clients[0].submit(rmw_spec(f"t{i}", [f"k{i % 3}"]))
-    run(cluster, until=60.0)
+    run(cluster, clients, until=60.0)
     assert all(r.committed for r in stats.records)
     for group in _groups(cluster):
         assert len(group.leader.prepared) == 0
@@ -129,7 +133,7 @@ def test_high_and_low_priority_treated_identically():
     )
     clients[0].submit(rmw_spec("th", ["hot"], priority=Priority.HIGH))
     clients[1].submit(rmw_spec("tl", ["hot"], priority=Priority.LOW))
-    run(cluster, until=30.0)
+    run(cluster, clients, until=30.0)
     assert all(r.committed for r in stats.records)
 
 
@@ -144,10 +148,10 @@ def test_voluntary_abort_after_reads_counts_as_complete():
         compute_writes=lambda reads: None,
     )
     clients[0].submit(spec)
-    run(cluster)
+    run(cluster, clients)
     (record,) = stats.records
     assert record.committed
     # And the prepared marks were released, so a second txn commits fast.
     clients[0].submit(rmw_spec("t2", ["a"]))
-    run(cluster, until=20.0)
+    run(cluster, clients, until=20.0)
     assert all(r.committed for r in stats.records)

@@ -108,7 +108,9 @@ def test_event_routing_by_attempt_id():
     client.register_attempt("t1.0", lambda p, src: seen.append(p))
     client.handle_txn_event(DecisionEvent("t1.0", True), "someone")
     client.handle_txn_event(DecisionEvent("other", True), "someone")
-    assert seen == [DecisionEvent("t1.0", True)]
+    assert [p.as_dict() for p in seen] == [
+        DecisionEvent("t1.0", True).as_dict()
+    ]
     client.unregister_attempt("t1.0")
     client.handle_txn_event(DecisionEvent("t1.0", False), "someone")
     assert len(seen) == 1

@@ -1,5 +1,6 @@
 """Integration tests for TAPIR."""
 
+from repro.harness import run_until_settled
 from repro.systems.carousel import CarouselBasic, CarouselFast
 from repro.systems.tapir import Tapir
 
@@ -9,7 +10,7 @@ from tests.helpers import build_system, rmw_spec, write_spec
 def test_single_transaction_commits():
     cluster, clients, stats = build_system(Tapir(), client_dcs=["VA"])
     clients[0].submit(rmw_spec("t1", ["alpha", "beta"]))
-    cluster.sim.run(until=10.0)
+    run_until_settled(cluster.sim, clients, after=0.0, cap=10.0)
     (record,) = stats.records
     assert record.committed
     assert record.retries == 0
@@ -24,7 +25,7 @@ def test_latency_between_fast_and_basic_at_no_contention():
     ):
         cluster, clients, stats = build_system(system, client_dcs=["VA"])
         clients[0].submit(rmw_spec("t1", [f"key-{i}" for i in range(10)]))
-        cluster.sim.run(until=10.0)
+        run_until_settled(cluster.sim, clients, after=0.0, cap=10.0)
         latencies[label] = stats.records[0].latency
     # Paper, Figure 7(a) at 50 txn/s: Fast < TAPIR < Basic.
     assert latencies["fast"] < latencies["tapir"] < latencies["basic"]
@@ -34,7 +35,7 @@ def test_conflicting_transactions_serialize_with_retries():
     cluster, clients, stats = build_system(Tapir(), client_dcs=["VA", "SG"])
     clients[0].submit(rmw_spec("tva", ["hot"], marker="A"))
     clients[1].submit(rmw_spec("tsg", ["hot"], marker="B"))
-    cluster.sim.run(until=60.0)
+    run_until_settled(cluster.sim, clients, after=0.0, cap=60.0)
     assert len(stats.records) == 2
     assert all(r.committed for r in stats.records)
     system = clients[0].system
@@ -79,7 +80,7 @@ def test_prepared_sets_drain_after_quiescence():
     for i, client in enumerate(clients):
         for j in range(5):
             client.submit(rmw_spec(f"t{i}-{j}", [f"k{j % 2}"]))
-    cluster.sim.run(until=120.0)
+    run_until_settled(cluster.sim, clients, after=0.0, cap=120.0)
     assert all(r.committed for r in stats.records)
     for group in clients[0].system.groups.values():
         for replica in group.replicas:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness import run_until_settled
 from repro.systems.carousel import CarouselBasic
 from repro.systems.twopl import (
     PreemptOnWaitPolicy,
@@ -17,7 +18,7 @@ from tests.helpers import build_system, rmw_spec
 def test_single_transaction_commits():
     cluster, clients, stats = build_system(TwoPL(), client_dcs=["VA"])
     clients[0].submit(rmw_spec("t1", ["alpha", "beta"]))
-    cluster.sim.run(until=10.0)
+    run_until_settled(cluster.sim, clients, after=0.0, cap=10.0)
     (record,) = stats.records
     assert record.committed
     assert record.retries == 0
@@ -28,7 +29,7 @@ def test_sequential_structure_is_slower_than_carousel():
     for label, system in (("2pl", TwoPL()), ("carousel", CarouselBasic())):
         cluster, clients, stats = build_system(system, client_dcs=["VA"])
         clients[0].submit(rmw_spec("t1", [f"key-{i}" for i in range(10)]))
-        cluster.sim.run(until=10.0)
+        run_until_settled(cluster.sim, clients, after=0.0, cap=10.0)
         latencies[label] = stats.records[0].latency
     # Paper: ~715 ms vs ~370 ms at low load.
     assert latencies["2pl"] > latencies["carousel"] * 1.4
@@ -38,7 +39,7 @@ def test_conflicting_transactions_serialize_without_deadlock():
     cluster, clients, stats = build_system(TwoPL(), client_dcs=["VA", "SG"])
     clients[0].submit(rmw_spec("tva", ["hot"], marker="A"))
     clients[1].submit(rmw_spec("tsg", ["hot"], marker="B"))
-    cluster.sim.run(until=60.0)
+    run_until_settled(cluster.sim, clients, after=0.0, cap=60.0)
     assert len(stats.records) == 2
     assert all(r.committed for r in stats.records)
     system = clients[0].system
@@ -54,7 +55,7 @@ def test_cross_partition_contention_resolves_via_wound_wait():
     keys = ["deadlock-a", "deadlock-b"]
     clients[0].submit(rmw_spec("t1", keys, marker="X"))
     clients[1].submit(rmw_spec("t2", list(reversed(keys)), marker="Y"))
-    cluster.sim.run(until=120.0)
+    run_until_settled(cluster.sim, clients, after=0.0, cap=120.0)
     assert len(stats.records) == 2
     assert all(r.committed for r in stats.records)
 
@@ -64,7 +65,7 @@ def test_locks_drain_after_quiescence():
     for i, client in enumerate(clients):
         for j in range(4):
             client.submit(rmw_spec(f"t{i}-{j}", [f"k{j % 2}"]))
-    cluster.sim.run(until=120.0)
+    run_until_settled(cluster.sim, clients, after=0.0, cap=120.0)
     assert all(r.committed for r in stats.records)
     for group in clients[0].system.groups.values():
         leader = group.leader
@@ -81,7 +82,7 @@ def test_all_variants_commit_mixed_priorities(policy_cls):
     )
     clients[0].submit(rmw_spec("th", ["hot"], priority=Priority.HIGH))
     clients[1].submit(rmw_spec("tl", ["hot"], priority=Priority.LOW))
-    cluster.sim.run(until=120.0)
+    run_until_settled(cluster.sim, clients, after=0.0, cap=120.0)
     assert len(stats.records) == 2
     assert all(r.committed for r in stats.records)
 
@@ -100,7 +101,7 @@ def test_preemption_wounds_low_priority_holder():
         clients[1].submit(rmw_spec("thigh", ["hot"], priority=Priority.HIGH))
 
     cluster.sim.spawn(later())
-    cluster.sim.run(until=120.0)
+    run_until_settled(cluster.sim, clients, after=0.02, cap=120.0)
     assert all(r.committed for r in stats.records)
     system = clients[0].system
     total_wounds = sum(

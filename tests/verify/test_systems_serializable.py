@@ -8,29 +8,20 @@ no lost updates.
 
 import pytest
 
+from repro.harness import run_until_settled
 from repro.harness.systems import SYSTEM_FACTORIES, make_system
 from repro.txn.priority import Priority
-from repro.verify import ExecutionTrace, SerializabilityChecker, tagged_rmw_spec
+from repro.verify import (
+    ExecutionTrace,
+    SerializabilityChecker,
+    enable_history,
+    partition_stores,
+    tagged_rmw_spec,
+)
 
 from tests.helpers import build_system
 
 HOT_KEYS = ["hot-a", "hot-b", "hot-c"]
-
-
-def _stores_for(system):
-    """Authoritative store per partition, regardless of system family."""
-    stores = {}
-    for pid, group in system.groups.items():
-        replicas = getattr(group, "replicas")
-        leader = getattr(group, "leader", replicas[0])
-        stores[pid] = leader.store
-    return stores
-
-
-def _enable_history(system):
-    for pid, group in system.groups.items():
-        for replica in group.replicas:
-            replica.store.record_history = True
 
 
 @pytest.mark.parametrize("system_name", sorted(SYSTEM_FACTORIES))
@@ -41,17 +32,18 @@ def test_contended_history_is_serializable(system_name):
     # constant delays, OCC mutual-abort retries stay synchronized
     # forever — an artifact, not a protocol property.
     config = SystemConfig(delay_variance_cv=0.01)
+    # The burst is far beyond the paper's contention regime (three hot
+    # keys, every transaction conflicting); lift the 100-retry cap so
+    # the invariant under test is convergence + correctness.
     cluster, clients, stats = build_system(
-        make_system(system_name), config=config, client_dcs=["VA", "PR", "SG"]
+        make_system(system_name),
+        config=config,
+        client_dcs=["VA", "PR", "SG"],
+        max_retries=1000,
     )
     system = clients[0].system
-    _enable_history(system)
+    enable_history(system)
     cluster.sim.run(until=2.5)  # probe warm-up (needed by Natto variants)
-    for client in clients:
-        # The burst is far beyond the paper's contention regime (three
-        # hot keys, every transaction conflicting); lift the 100-retry
-        # cap so the invariant under test is convergence + correctness.
-        client.max_retries = 1000
 
     trace = ExecutionTrace()
     index = 0
@@ -74,9 +66,9 @@ def test_contended_history_is_serializable(system_name):
             yield 0.15
 
     cluster.sim.spawn(burst())
-    # Long horizon: under this contention the youngest transactions in
+    # Generous cap: under this contention the youngest transactions in
     # the 2PL systems only win the wound-wait race near the end.
-    cluster.sim.run(until=600.0)
+    run_until_settled(cluster.sim, clients, after=2.5 + 2 * 0.15, cap=600.0)
 
     committed = [r.txn_id for r in stats.records if r.committed]
     assert committed, "nothing committed"
@@ -93,7 +85,7 @@ def test_contended_history_is_serializable(system_name):
         assert all(r.committed for r in stats.records)
 
     checker = SerializabilityChecker(
-        _stores_for(system), trace, committed
+        partition_stores(system), trace, committed
     )
     graph = checker.check()
     assert graph.number_of_nodes() == len(committed)
