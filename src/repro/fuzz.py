@@ -18,6 +18,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -116,6 +117,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             system = args.systems[index % len(args.systems)]
             spec = ScenarioSpec(system=system, seed=args.seed + index)
             outcome = run_scenario(spec)
+            # Free the scenario's deployment (a reference cycle) now: see
+            # repro.harness.parallel.run_point.
+            gc.collect()
             ran += 1
             _emit(outcome.log_line(), log_handle)
             if outcome.ok:

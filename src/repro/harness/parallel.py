@@ -30,6 +30,7 @@ recipes instead of closures.
 
 from __future__ import annotations
 
+import gc
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -143,11 +144,18 @@ def run_point(spec: PointSpec) -> RepeatedResult:
         spec.settings,
         repeats=spec.repeats,
     )
-    return RepeatedResult(
+    point = RepeatedResult(
         repeated.system_name,
         repeated.input_rate,
         [result.detach() for result in repeated.results],
     )
+    # The point's deployments are now reference cycles.  Simulator.run
+    # pauses the cyclic collector, so the older generations they sit in
+    # are rarely collected on their own: a process running many points
+    # held up to ~25 of them at once.
+    del repeated
+    gc.collect()
+    return point
 
 
 def run_points(

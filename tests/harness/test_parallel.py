@@ -5,6 +5,7 @@ byte-identical to the serial run — same tables, same per-point metrics —
 so every figure can fan out over cores without changing a single number.
 """
 
+import gc
 import math
 import os
 import pickle
@@ -28,6 +29,8 @@ from repro.harness.parallel import (
     run_points,
 )
 from repro.workloads import YcsbTWorkload
+
+from tests.helpers import collector, live_simulators
 
 TINY = Scale("tiny", duration=2.0, trim=0.5, repeats=1, drain=4.0)
 
@@ -99,6 +102,16 @@ def test_detached_result_pickles_and_preserves_metrics():
     for result in repeated.results:
         assert result.system is None
         assert result.obs is None
+
+
+def test_run_point_frees_its_deployment():
+    # A deployment is a reference cycle through its Simulator.  With
+    # the collector off, only run_point's own collection can free it.
+    with collector(enabled=False):
+        gc.collect()
+        before = live_simulators()
+        run_point(_tiny_spec())
+        assert live_simulators() == before
 
 
 # ---------------------------------------------------------------------------

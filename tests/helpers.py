@@ -3,10 +3,13 @@ run transactions through it."""
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.harness.experiment import deploy
 from repro.net.topology import Topology, azure_topology
+from repro.sim import Simulator
 from repro.systems.base import SystemConfig, TransactionSystem
 from repro.systems.client import MAX_RETRIES
 from repro.txn.priority import Priority
@@ -72,3 +75,27 @@ def read_spec(txn_id, keys, priority=Priority.LOW):
         priority=priority,
         compute_writes=lambda reads: {},
     )
+
+
+@contextmanager
+def collector(enabled: bool):
+    """Turn the cyclic garbage collector on or off for the block (off:
+    only explicit collections free reference cycles); restore its state
+    after."""
+    was_enabled = gc.isenabled()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def live_simulators() -> int:
+    """How many :class:`Simulator` objects exist, garbage included."""
+    return sum(isinstance(obj, Simulator) for obj in gc.get_objects())

@@ -1,8 +1,12 @@
 """Tests for the discrete-event kernel."""
 
+import gc
+
 import pytest
 
 from repro.sim import SimulationError, Simulator
+
+from tests.helpers import collector
 
 
 def test_time_starts_at_zero():
@@ -102,6 +106,18 @@ def test_stop_halts_the_loop():
     assert sim.now == 1.0
 
 
+def test_a_stopped_run_leaves_the_clock_at_the_stop():
+    sim = Simulator()
+    seen = []
+    sim.post(1.0, sim.stop)
+    sim.post(2.0, lambda: seen.append(sim.now))
+    sim.run(until=10.0)
+    assert sim.now == 1.0
+    sim.run(until=10.0)
+    assert seen == [2.0]
+    assert sim.now == 10.0
+
+
 def test_timeout_future_resolves_at_deadline():
     sim = Simulator()
     future = sim.timeout(0.25)
@@ -164,3 +180,82 @@ def test_every_rejects_nonpositive_period():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.every(0.0, lambda: None)
+
+
+@pytest.fixture
+def gc_enabled():
+    """The cyclic collector on for the test, its state restored after."""
+    with collector(enabled=True):
+        yield
+
+
+def _boom():
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("end", [None, "stop", "raise"])
+def test_run_turns_the_collector_back_on(gc_enabled, end):
+    sim = Simulator()
+    inside = []
+    sim.post(1.0, lambda: inside.append(gc.isenabled()))
+    sim.post(2.0, {None: lambda: None, "stop": sim.stop, "raise": _boom}[end])
+    sim.post(3.0, lambda: inside.append(gc.isenabled()))
+    try:
+        sim.run()
+    except RuntimeError:
+        assert end == "raise"
+    assert inside == ([False] if end else [False, False])
+    assert gc.isenabled()
+
+
+def test_run_leaves_a_disabled_collector_off():
+    with collector(enabled=False):
+        sim = Simulator()
+        sim.post(1.0, lambda: None)
+        sim.run()
+        assert not gc.isenabled()
+
+
+def test_no_collection_starts_inside_run(gc_enabled):
+    # Keeping ten thresholds' worth of new containers alive would start
+    # several young collections if the collector ran.
+    starts = []
+    seen_inside = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    kept = []
+
+    def allocate():
+        kept.extend([] for _ in range(10 * gc.get_threshold()[0]))
+
+    sim = Simulator()
+    sim.post(1.0, allocate)
+    sim.post(2.0, lambda: seen_inside.extend(starts))
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        sim.run()
+    finally:
+        gc.callbacks.remove(record)
+    assert seen_inside == []
+
+
+def test_a_nested_run_leaves_the_collector_off(gc_enabled):
+    sim = Simulator()
+    seen = []
+
+    def nested():
+        sim.post(0.5, lambda: seen.append(("inner", gc.isenabled())))
+        sim.run(until=sim.now + 1.0)
+        seen.append(("after inner", gc.isenabled()))
+
+    sim.post(1.0, nested)
+    sim.post(3.0, lambda: seen.append(("outer", gc.isenabled())))
+    sim.run()
+    assert seen == [
+        ("inner", False), ("after inner", False), ("outer", False),
+    ]
+    assert gc.isenabled()

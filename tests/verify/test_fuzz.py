@@ -6,9 +6,12 @@ identical failure fingerprint on replay, or failing seeds would not be
 actionable.
 """
 
+import gc
 import json
 
 import pytest
+
+from repro import fuzz
 
 from repro.faults import FaultSchedule, loss_burst
 from repro.systems.twopl.server import TwoPLParticipant
@@ -21,6 +24,8 @@ from repro.verify.fuzz import (
     shrink,
     write_failure_artifact,
 )
+
+from tests.helpers import collector, live_simulators
 
 
 def test_same_seed_is_byte_identical():
@@ -105,3 +110,16 @@ def test_failing_seed_shrinks_and_replays_identically(tmp_path, monkeypatch):
 def test_shrink_rejects_passing_scenarios():
     with pytest.raises(ValueError):
         shrink(ScenarioSpec(system="2PL+2PC", seed=1))
+
+
+def test_the_cli_frees_each_scenario_s_deployment(tmp_path):
+    # A deployment is a reference cycle through its Simulator.  With
+    # the collector off, only the CLI's own collections can free it.
+    with collector(enabled=False):
+        gc.collect()
+        before = live_simulators()
+        assert fuzz.main([
+            "--scenarios", "2", "--systems", "2PL+2PC",
+            "--out", str(tmp_path),
+        ]) == 0
+        assert live_simulators() == before
