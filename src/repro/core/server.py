@@ -30,6 +30,9 @@ Life of a transaction at one participant:
    behaviour — replicate first, then apply and release.  Either way,
    releasing drains the waiting list in timestamp order and resolves
    any conditions hanging off the transaction.
+
+The store, the partition id, abort tombstones, the traced refusal and
+the no-vote come from :class:`~repro.systems.base.RaftParticipant`.
 """
 
 from __future__ import annotations
@@ -51,14 +54,11 @@ from repro.net.payload import (
     ReadsEvent,
     RecsfForward,
     Refusal,
-    VoteReason,
 )
-from repro.net.probing import ProbeTargetMixin
 from repro.obs.abort import AbortReason, reason_value
-from repro.raft.node import RaftReplica
 from repro.sim import Future
-from repro.store.kv import KeyValueStore
 from repro.store.occ import PreparedSet, sets_conflict
+from repro.systems.base import RaftParticipant
 from repro.txn.priority import Priority
 
 #: Margin (seconds) added to completion-time estimates used by the PA
@@ -168,21 +168,17 @@ class _ConflictIndex:
         return found.values()
 
 
-class NattoParticipant(ProbeTargetMixin, RaftReplica):
+class NattoParticipant(RaftParticipant):
     """Leader (and follower) replica of one Natto data partition."""
 
     def __init__(
         self,
         *args: Any,
-        store: Optional[KeyValueStore] = None,
         natto_config: NattoConfig = NattoConfig(),
         partitioner: Optional[Partitioner] = None,
         **kwargs: Any,
     ) -> None:
         super().__init__(*args, **kwargs)
-        # Names are "p<pid>-<DC>"; see ReplicationGroup.replica_name.
-        self.partition_id = int(self.name.split("-")[0][1:])
-        self.store = store if store is not None else KeyValueStore()
         self.natto = natto_config
         self.partitioner = partitioner
         self.prepared = PreparedSet()
@@ -196,12 +192,6 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
         self._conditions: Dict[str, Set[str]] = {}
         #: LECSF: writes applied before their log entry (dedup at apply)
         self._applied_early: Set[str] = set()
-        # Abort decisions (coordinator path) can beat the transaction's
-        # own read-and-prepare (client path) under jitter; tombstones
-        # make the cancellation order-independent.  Values remember the
-        # abort reason so the late refusal stays classified.
-        self._abort_tombstones: Dict[str, Optional[str]] = {}
-        self._rap_seen: Set[str] = set()
         self._dispatch_timer = None
         # Counters (tests, reports, ablations).
         self.stats = {
@@ -222,12 +212,8 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
         self, payload: NattoReadAndPrepare, src: str
     ) -> Future:
         if payload.txn in self._abort_tombstones:
-            reason = self._abort_tombstones.pop(payload.txn)
-            obs = self.sim.obs
-            if obs.enabled:
-                obs.tracer.refuse(reason, node=self.name, txn=payload.txn)
             reply = Future()
-            reply.set_result(Refusal(reason_value(reason)))
+            reply.set_result(self._tombstone_refusal(payload.txn))
             return reply
         self._rap_seen.add(payload.txn)
         pid = self.partition_id
@@ -285,24 +271,10 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
     def _refuse(self, info: NattoTxn, reason) -> None:
         """Abort before (or instead of) preparing: fail the client's
         read reply and vote no so the coordinator cleans up."""
-        obs = self.sim.obs
-        if obs.enabled:
-            obs.tracer.refuse(reason, node=self.name, txn=info.txn)
+        refusal = self._refusal(info.txn, reason)
         if not info.reply.done:
-            info.reply.set_result(Refusal(reason_value(reason)))
-        self._network.send(
-            self,
-            info.coordinator,
-            "vote",
-            VoteReason(
-                info.txn,
-                self.partition_id,
-                "no",
-                info.participants,
-                info.client,
-                reason_value(reason),
-            ),
-        )
+            info.reply.set_result(refusal)
+        self._vote_no(info, reason)
 
     # ------------------------------------------------------------------
     # Priority abort (§3.3.1)
@@ -667,10 +639,7 @@ class NattoParticipant(ProbeTargetMixin, RaftReplica):
     def handle_commit_txn(self, payload: Payload, src: str) -> None:
         txn = payload.txn
         if not payload.decision:
-            if txn not in self._rap_seen:
-                # The abort overtook the read-and-prepare; refuse it on
-                # arrival instead of leaving a stuck prepared mark.
-                self._abort_tombstones[txn] = payload.reason
+            self._bury(txn, payload.reason)
             self._resolve_conditions(txn, committed=False)
             self._remove_everywhere(txn, reason=payload.reason)
             self._drain_waiting()

@@ -15,11 +15,16 @@ read set it has not submitted yet, tagging each partition with the read
 epoch the writes were computed from.  The coordinator matches those
 epochs against its vote records, which closes the conditional-prepare
 loop safely.
+
+Replies that land after their attempt ended (through the first refusal
+or the decision) are ignored.  The deployment is Carousel Basic's, with
+the Natto node classes; participants also get the variant's config and
+the partitioner.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional
+from typing import Any, Dict, Generator, Optional
 
 from repro.core.config import NattoConfig
 from repro.core.coordinator import NattoCoordinator
@@ -33,8 +38,7 @@ from repro.net.payload import (
 )
 from repro.net.probing import ClientDelayView, ProbeProxy, ProxyDirectory
 from repro.sim import Future, any_of
-from repro.store.kv import KeyValueStore
-from repro.systems.base import Cluster, attempt_id
+from repro.systems.base import attempt_id
 from repro.systems.carousel.basic import CarouselBasic
 from repro.txn.priority import Priority
 from repro.txn.transaction import TransactionSpec
@@ -62,20 +66,11 @@ class Natto(CarouselBasic):
     # ------------------------------------------------------------------
     # Deployment
 
-    def _participant_factory(self, sim, network, name, dc, **kwargs):
-        kwargs["rng"] = self.cluster.streams.stream(f"raft.{name}")
-        return self.participant_class(
-            sim,
-            network,
-            name,
-            dc,
-            store=KeyValueStore(),
-            natto_config=self.natto_config,
-            partitioner=self.cluster.partitioner,
-            clock=self.cluster.make_clock(name),
-            service_time=self.cluster.config.server_service_time,
-            **kwargs,
-        )
+    def participant_options(self) -> Dict[str, Any]:
+        return {
+            "natto_config": self.natto_config,
+            "partitioner": self.cluster.partitioner,
+        }
 
     def after_setup(self) -> None:
         """One probe proxy (and client view) per datacenter (§4)."""
@@ -147,6 +142,7 @@ class Natto(CarouselBasic):
         decision = Future()
         failed = Future()
         voluntary_abort = [False]
+        ended = False
 
         def deliver(pid: int, values: Dict[str, str], epoch: int) -> None:
             slot = state[pid]
@@ -192,6 +188,15 @@ class Natto(CarouselBasic):
             if set(reads_by_pid.get(pid, [])) <= set(slot["recsf"]):
                 deliver(pid, dict(slot["recsf"]), 0)
 
+        def on_reply(pid: int, reply: Payload) -> None:
+            if ended:
+                return  # attempt over; the driver took its abort reason
+            if reply.ok:
+                deliver(pid, reply.values, reply.epoch)
+            else:
+                client.note_abort(aid, reply.reason)
+                failed.try_set_result(False)
+
         def on_event(payload: Payload, src: str) -> None:
             kind = payload.kind
             if kind == "decision":
@@ -227,14 +232,7 @@ class Natto(CarouselBasic):
                     request,
                 )
                 future.add_done_callback(
-                    lambda f, pid=pid: (
-                        deliver(pid, f.value.values, f.value.epoch)
-                        if f.value.ok
-                        else (
-                            client.note_abort(aid, f.value.reason),
-                            failed.try_set_result(False),
-                        )
-                    )
+                    lambda f, pid=pid: on_reply(pid, f.value)
                 )
             result = yield any_of([decision, failed])
             if voluntary_abort[0]:
@@ -246,4 +244,5 @@ class Natto(CarouselBasic):
                 self.quota.finish(spec.txn_id)
             return committed
         finally:
+            ended = True
             client.unregister_attempt(aid)

@@ -1,4 +1,5 @@
-"""Shared deployment scaffolding and the system interface.
+"""Shared deployment scaffolding, the system interface, and the skeleton
+of the Raft-backed systems.
 
 A :class:`Cluster` owns everything protocol-independent about a
 deployment: the simulator, random streams, topology, the network with
@@ -6,6 +7,13 @@ its delay/loss models, the partitioner and the replica placements.  A
 :class:`TransactionSystem` then populates it with protocol-specific
 server nodes in :meth:`TransactionSystem.setup` and executes client
 transactions via :meth:`TransactionSystem.execute`.
+
+Carousel, Natto and 2PL+2PC deploy the same way: one Raft group per
+data partition plus one coordinator group per datacenter.
+:class:`RaftBackedSystem` builds that deployment once; a system names
+its node classes and any extra constructor keywords.  Their partition
+replicas share :class:`RaftParticipant`: the store, the partition id,
+abort tombstones, the traced refusal and the no-vote.
 
 The default :class:`SystemConfig` mirrors the paper's settings: 5
 partitions, 3 replicas, loosely synchronized clocks, Raft without
@@ -17,7 +25,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Set
 
 from repro.cluster.clock import Clock, ClockConfig
 from repro.cluster.partition import Partitioner
@@ -25,9 +33,14 @@ from repro.cluster.placement import PartitionPlacement, place_partitions
 from repro.net.delay import make_delay_model
 from repro.net.loss import LossConfig
 from repro.net.network import Network, NetworkConfig
+from repro.net.payload import Refusal, VoteReason
+from repro.net.probing import ProbeTargetMixin
 from repro.net.topology import Topology
-from repro.raft.node import RaftConfig
+from repro.obs.abort import reason_value
+from repro.raft.group import ReplicationGroup
+from repro.raft.node import RaftConfig, RaftReplica
 from repro.sim import RandomStreams, Simulator
+from repro.store.kv import KeyValueStore
 from repro.txn.transaction import TransactionSpec
 
 
@@ -146,6 +159,159 @@ class TransactionSystem(abc.ABC):
     def on_client_created(self, client: "ClientDriver") -> None:
         """Hook for systems that attach per-client state (e.g. Natto's
         delay view).  Default: nothing."""
+
+
+class RaftBackedSystem(TransactionSystem):
+    """Partition leaders replicated by Raft, plus one coordinator group
+    per datacenter (the deployment of Carousel, Natto and 2PL+2PC).
+
+    Every node gets its own ``raft.<name>`` stream and
+    ``cluster.make_clock(name)`` clock, and the cluster's service time.
+    Subclasses set the two node classes and may add constructor keywords
+    through :meth:`participant_options` and :meth:`coordinator_options`.
+    """
+
+    participant_class: type
+    coordinator_class: type
+
+    def setup(self, cluster: Cluster) -> None:
+        self.cluster = cluster
+        self.groups: Dict[int, ReplicationGroup] = {}
+        self.leader_names: Dict[int, str] = {}
+        make_participant = self._node_factory(
+            self.participant_class, self.participant_options()
+        )
+        for placement in cluster.placements:
+            group = self._group(placement, make_participant)
+            self.groups[placement.partition_id] = group
+            self.leader_names[placement.partition_id] = group.leader_name
+        make_coordinator = self._node_factory(
+            self.coordinator_class,
+            dict(
+                partitioner=cluster.partitioner,
+                leader_names=self.leader_names,
+                **self.coordinator_options(),
+            ),
+        )
+        self.coordinators: Dict[str, ReplicationGroup] = {
+            dc: self._group(cluster.coordinator_placement(dc), make_coordinator)
+            for dc in cluster.topology.datacenters
+        }
+        self.after_setup()
+
+    def participant_options(self) -> Dict[str, Any]:
+        """Extra constructor keywords for participant replicas."""
+        return {}
+
+    def coordinator_options(self) -> Dict[str, Any]:
+        """Constructor keywords for coordinator replicas beyond the
+        partitioner and the leader names."""
+        return {}
+
+    def after_setup(self) -> None:
+        """Hook for subclasses (Natto starts its probe proxies here)."""
+
+    def _node_factory(
+        self, node_class: type, options: Dict[str, Any]
+    ) -> Callable[..., RaftReplica]:
+        cluster = self.cluster
+
+        def make(sim, network, name, dc, **kwargs):
+            kwargs["rng"] = cluster.streams.stream(f"raft.{name}")
+            return node_class(
+                sim,
+                network,
+                name,
+                dc,
+                clock=cluster.make_clock(name),
+                service_time=cluster.config.server_service_time,
+                **options,
+                **kwargs,
+            )
+
+        return make
+
+    def _group(self, placement: PartitionPlacement, factory) -> ReplicationGroup:
+        cluster = self.cluster
+        return ReplicationGroup(
+            cluster.sim,
+            cluster.network,
+            placement,
+            config=cluster.config.raft,
+            replica_factory=factory,
+        )
+
+    # ------------------------------------------------------------------
+    # Addressing
+
+    def coordinator_name(self, datacenter: str) -> str:
+        return self.coordinators[datacenter].leader_name
+
+    def participant_ids(self, spec: TransactionSpec) -> List[int]:
+        return sorted(
+            self.cluster.partitioner.participants(
+                spec.read_keys, spec.write_keys
+            )
+        )
+
+
+class RaftParticipant(ProbeTargetMixin, RaftReplica):
+    """Leader (and follower) replica of one data partition.
+
+    An abort decision travels coordinator->participant while the request
+    it cancels travels client->participant, so with network jitter the
+    abort can win the race.  Tombstones (used by Carousel and Natto) make
+    the cancellation order-independent: a request arriving after its own
+    abort is refused with the abort's reason instead of leaving a stuck
+    prepared mark.  A request handler checks ``txn in
+    self._abort_tombstones`` (answering with :meth:`_tombstone_refusal`)
+    and otherwise adds ``txn`` to ``_rap_seen``; an abort calls
+    :meth:`_bury`; releasing the attempt discards it from ``_rap_seen``.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        # Names are "p<pid>-<DC>"; see ReplicationGroup.replica_name.
+        self.partition_id = int(self.name.split("-")[0][1:])
+        self.store = KeyValueStore()
+        #: attempt id -> reason of an abort that beat its request here.
+        self._abort_tombstones: Dict[str, Optional[str]] = {}
+        #: attempts whose request arrived and is not yet released.
+        self._rap_seen: Set[str] = set()
+
+    def _bury(self, txn: str, reason: Any) -> None:
+        """An abort for ``txn`` arrived: tombstone it if its request has
+        not (the request is refused on arrival)."""
+        if txn not in self._rap_seen:
+            self._abort_tombstones[txn] = reason
+
+    def _tombstone_refusal(self, txn: str) -> Refusal:
+        """Refuse a request that arrived after its own abort."""
+        return self._refusal(txn, self._abort_tombstones.pop(txn))
+
+    def _refusal(self, txn: str, reason: Any) -> Refusal:
+        """A classified ``ok: False`` reply, traced as a refusal."""
+        obs = self.sim.obs
+        if obs.enabled:
+            obs.tracer.refuse(reason, node=self.name, txn=txn)
+        return Refusal(reason_value(reason))
+
+    def _vote_no(self, request: Any, reason: Any) -> None:
+        """Vote no to the coordinator of ``request`` (anything carrying
+        ``txn``, ``coordinator``, ``participants`` and ``client``)."""
+        self._network.send(
+            self,
+            request.coordinator,
+            "vote",
+            VoteReason(
+                request.txn,
+                self.partition_id,
+                "no",
+                request.participants,
+                request.client,
+                reason_value(reason),
+            ),
+        )
 
 
 def attempt_id(spec: TransactionSpec, attempt: int) -> str:

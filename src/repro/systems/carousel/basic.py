@@ -15,11 +15,15 @@ The happy path, exactly as in Figure 1 of the Natto paper:
 
 Any OCC conflict at any participant aborts the attempt; the client
 driver retries immediately with a fresh attempt id.
+
+The deployment (partition groups, coordinator groups, addressing) is
+:class:`~repro.systems.base.RaftBackedSystem`'s; this module adds the
+node classes and the client protocol.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List
+from typing import Dict, Generator
 
 from repro.net.payload import (
     AbortRequest,
@@ -28,92 +32,18 @@ from repro.net.payload import (
     Payload,
 )
 from repro.sim import Future, all_of
-from repro.store.kv import KeyValueStore
-from repro.systems.base import Cluster, TransactionSystem, attempt_id
+from repro.systems.base import RaftBackedSystem, attempt_id
 from repro.systems.carousel.coordinator import CarouselCoordinator
 from repro.systems.carousel.server import CarouselParticipant
-from repro.raft.group import ReplicationGroup
 from repro.txn.transaction import TransactionSpec
 
 
-class CarouselBasic(TransactionSystem):
+class CarouselBasic(RaftBackedSystem):
     """The baseline Natto builds on."""
 
     name = "Carousel Basic"
     participant_class = CarouselParticipant
     coordinator_class = CarouselCoordinator
-
-    def setup(self, cluster: Cluster) -> None:
-        self.cluster = cluster
-        self.groups: Dict[int, ReplicationGroup] = {}
-        self.leader_names: Dict[int, str] = {}
-        for placement in cluster.placements:
-            group = ReplicationGroup(
-                cluster.sim,
-                cluster.network,
-                placement,
-                config=cluster.config.raft,
-                replica_factory=self._participant_factory,
-            )
-            self.groups[placement.partition_id] = group
-            self.leader_names[placement.partition_id] = group.leader_name
-        self.coordinators: Dict[str, ReplicationGroup] = {}
-        for dc in cluster.topology.datacenters:
-            group = ReplicationGroup(
-                cluster.sim,
-                cluster.network,
-                cluster.coordinator_placement(dc),
-                config=cluster.config.raft,
-                replica_factory=self._coordinator_factory,
-            )
-            self.coordinators[dc] = group
-        self.after_setup()
-
-    def after_setup(self) -> None:
-        """Hook for subclasses (Natto starts its probe proxies here)."""
-
-    # ------------------------------------------------------------------
-    # Node factories (per-replica clocks, stores and CPU models)
-
-    def _participant_factory(self, sim, network, name, dc, **kwargs):
-        kwargs["rng"] = self.cluster.streams.stream(f"raft.{name}")
-        return self.participant_class(
-            sim,
-            network,
-            name,
-            dc,
-            store=KeyValueStore(),
-            clock=self.cluster.make_clock(name),
-            service_time=self.cluster.config.server_service_time,
-            **kwargs,
-        )
-
-    def _coordinator_factory(self, sim, network, name, dc, **kwargs):
-        kwargs["rng"] = self.cluster.streams.stream(f"raft.{name}")
-        return self.coordinator_class(
-            sim,
-            network,
-            name,
-            dc,
-            partitioner=self.cluster.partitioner,
-            leader_names=self.leader_names,
-            clock=self.cluster.make_clock(name),
-            service_time=self.cluster.config.server_service_time,
-            **kwargs,
-        )
-
-    # ------------------------------------------------------------------
-    # Addressing
-
-    def coordinator_name(self, datacenter: str) -> str:
-        return self.coordinators[datacenter].leader_name
-
-    def participant_ids(self, spec: TransactionSpec) -> List[int]:
-        return sorted(
-            self.cluster.partitioner.participants(
-                spec.read_keys, spec.write_keys
-            )
-        )
 
     # ------------------------------------------------------------------
     # Client protocol

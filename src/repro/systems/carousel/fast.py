@@ -15,6 +15,10 @@ follower replicas hold their prepared marks until the committed writes
 *apply* on them — one replication leg later than the leader releases —
 so at high contention followers refuse transactions the leader would
 accept, pushing the system off the fast path and up the abort rate.
+
+Followers keep their abort tombstones in the same
+:class:`~repro.systems.base.RaftParticipant` structures as leaders; the
+coordinators get the replica names as their one extra keyword.
 """
 
 from __future__ import annotations
@@ -44,25 +48,20 @@ class FastParticipant(CarouselParticipant):
     Abort notifications and read-and-prepare requests travel different
     network paths, so an abort can overtake the request it cancels
     (e.g. when the partition leader is co-located with the client the
-    no-vote detour is shorter than a jittery direct hop).  Tombstones
-    make the cancellation order-independent: a request arriving after
-    its own abort is refused instead of leaving a stuck prepared mark.
+    no-vote detour is shorter than a jittery direct hop).  Followers use
+    the leader's tombstones (a leader never gets follower messages, and
+    a follower never gets leader ones): a request arriving after its
+    own abort is refused instead of leaving a stuck prepared mark.
     """
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self._fast_tombstones: set = set()
-        self._replica_seen: set = set()
 
     def handle_read_and_prepare_replica(
         self, payload: CarouselReadAndPrepare, src: str
     ) -> Payload:
         """Follower vote: OCC over the follower's own (lagging) state."""
         txn = payload.txn
-        if txn in self._fast_tombstones:
-            self._fast_tombstones.discard(txn)
-            return self._refusal(txn, AbortReason.PREEMPTED)
-        self._replica_seen.add(txn)
+        if txn in self._abort_tombstones:
+            return self._tombstone_refusal(txn)
+        self._rap_seen.add(txn)
         reads = payload.reads
         writes = payload.writes
         if not self.prepared.is_free(reads, writes):
@@ -77,13 +76,8 @@ class FastParticipant(CarouselParticipant):
         """Abort notification for follower-held prepared marks."""
         if payload.decision:
             return
-        txn = payload.txn
-        if txn in self.prepared:
-            self.release(txn)
-        elif txn not in self._replica_seen:
-            # The abort overtook the request; refuse it on arrival.
-            self._fast_tombstones.add(txn)
-        self._replica_seen.discard(txn)
+        self._bury(payload.txn, AbortReason.PREEMPTED)
+        self.release(payload.txn)
 
     def on_apply(self, payload: Any, index: int) -> None:
         super().on_apply(payload, index)
@@ -91,7 +85,6 @@ class FastParticipant(CarouselParticipant):
             # A committed transaction's follower-side prepared marks are
             # held until its writes apply here (the staleness window).
             self.release(payload[1])
-            self._replica_seen.discard(payload[1])
 
 
 class FastCoordinator(CarouselCoordinator):
@@ -121,22 +114,12 @@ class CarouselFast(CarouselBasic):
     participant_class = FastParticipant
     coordinator_class = FastCoordinator
 
-    def _coordinator_factory(self, sim, network, name, dc, **kwargs):
-        kwargs["rng"] = self.cluster.streams.stream(f"raft.{name}")
-        return self.coordinator_class(
-            sim,
-            network,
-            name,
-            dc,
-            partitioner=self.cluster.partitioner,
-            leader_names=self.leader_names,
-            replica_names={
+    def coordinator_options(self) -> Dict[str, Any]:
+        return {
+            "replica_names": {
                 pid: group.replica_names for pid, group in self.groups.items()
-            },
-            clock=self.cluster.make_clock(name),
-            service_time=self.cluster.config.server_service_time,
-            **kwargs,
-        )
+            }
+        }
 
     def execute(self, client, spec: TransactionSpec, attempt: int) -> Generator:
         aid = attempt_id(spec, attempt)

@@ -18,43 +18,34 @@ Implements the server side of Carousel Basic's read-and-prepare
 All replicas (leader and followers) apply committed ``writes`` log
 entries to their local stores in log order, so follower state converges
 to the leader's — asserted by the integration tests.
+
+The store, the partition id, abort tombstones, the traced refusal and
+the no-vote come from :class:`~repro.systems.base.RaftParticipant`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.net.payload import (
     CarouselReadAndPrepare,
     Payload,
     ReadOk,
-    Refusal,
     VoteReason,
 )
-from repro.net.probing import ProbeTargetMixin
-from repro.obs.abort import AbortReason, reason_value
-from repro.raft.node import RaftReplica
-from repro.store.kv import KeyValueStore
+from repro.obs.abort import AbortReason
 from repro.store.occ import PreparedSet
+from repro.systems.base import RaftParticipant
 
 
-class CarouselParticipant(ProbeTargetMixin, RaftReplica):
+class CarouselParticipant(RaftParticipant):
     """Leader (and follower) replica of one data partition."""
 
-    def __init__(self, *args: Any, store: Optional[KeyValueStore] = None,
-                 **kwargs: Any) -> None:
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self.store = store if store is not None else KeyValueStore()
         self.prepared = PreparedSet()
         #: attempt id -> metadata for transactions prepared here.
         self.txn_meta: Dict[str, dict] = {}
-        # An abort decision travels coordinator->participant while the
-        # read-and-prepare travels client->participant; with network
-        # jitter the abort can win the race.  Tombstones refuse a
-        # request that arrives after its own abort, remembering why the
-        # transaction was aborted so the refusal stays classified.
-        self._abort_tombstones: Dict[str, Optional[str]] = {}
-        self._rap_seen: set = set()
         # Counters for tests and reports.
         self.prepares_ok = 0
         self.prepares_refused = 0
@@ -67,14 +58,13 @@ class CarouselParticipant(ProbeTargetMixin, RaftReplica):
     ) -> Payload:
         txn = payload.txn
         if txn in self._abort_tombstones:
-            reason = self._abort_tombstones.pop(txn)
-            return self._refusal(txn, reason)
+            return self._tombstone_refusal(txn)
         self._rap_seen.add(txn)
         reads = payload.reads
         writes = payload.writes
         if not self.prepared.is_free(reads, writes):
             self.prepares_refused += 1
-            self._vote(payload, "no", reason=AbortReason.OCC_CONFLICT)
+            self._vote_no(payload, AbortReason.OCC_CONFLICT)
             return self._refusal(txn, AbortReason.OCC_CONFLICT)
         self.prepares_ok += 1
         self.prepared.add(txn, reads, writes)
@@ -85,35 +75,24 @@ class CarouselParticipant(ProbeTargetMixin, RaftReplica):
         }
         values = {key: self.store.read(key).value for key in reads}
         self.propose(("prepare", txn)).add_done_callback(
-            lambda _: self._vote(payload, "yes")
+            lambda _: self._vote_yes(payload)
         )
         return ReadOk(values)
 
-    def _refusal(self, txn: str, reason) -> Refusal:
-        """A classified ``ok: False`` reply (plus trace bookkeeping)."""
-        obs = self.sim.obs
-        if obs.enabled:
-            obs.tracer.refuse(reason, node=self.name, txn=txn)
-        return Refusal(reason_value(reason))
-
-    def _vote(self, payload, vote: str, reason=None) -> None:
+    def _vote_yes(self, payload: CarouselReadAndPrepare) -> None:
         self._network.send(
             self,
             payload.coordinator,
             "vote",
             VoteReason(
                 payload.txn,
-                self.group_partition_id(),
-                vote,
+                self.partition_id,
+                "yes",
                 payload.participants,
                 payload.client,
-                reason_value(reason) if reason is not None else None,
+                None,
             ),
         )
-
-    def group_partition_id(self) -> int:
-        # Names are "p<pid>-<DC>"; see ReplicationGroup.replica_name.
-        return int(self.name.split("-")[0][1:])
 
     # ------------------------------------------------------------------
     # Commit / abort (2PC outcome)
@@ -121,8 +100,7 @@ class CarouselParticipant(ProbeTargetMixin, RaftReplica):
     def handle_commit_txn(self, payload: Payload, src: str) -> None:
         txn = payload.txn
         if not payload.decision:
-            if txn not in self.prepared and txn not in self._rap_seen:
-                self._abort_tombstones[txn] = payload.reason
+            self._bury(txn, payload.reason)
             self.release(txn)
             return
         writes = payload.writes or {}

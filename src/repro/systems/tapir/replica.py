@@ -11,7 +11,7 @@ path), not the replica's.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.cluster.node import Node
 from repro.net.payload import (
@@ -34,10 +34,9 @@ from repro.store.occ import PreparedSet
 class TapirReplica(Node):
     """One replica of one partition."""
 
-    def __init__(self, *args: Any, store: Optional[KeyValueStore] = None,
-                 **kwargs: Any) -> None:
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self.store = store if store is not None else KeyValueStore()
+        self.store = KeyValueStore()
         self.prepared = PreparedSet()
         self.prepare_ok_count = 0
         self.prepare_abort_count = 0

@@ -29,7 +29,6 @@ from repro.net.payload import (
     TapirRead,
 )
 from repro.sim import all_of
-from repro.store.kv import KeyValueStore
 from repro.systems.base import Cluster, TransactionSystem, attempt_id
 from repro.systems.tapir.replica import TapirReplica
 from repro.txn.transaction import TransactionSpec
@@ -47,7 +46,6 @@ class _TapirGroup:
                 cluster.sim,
                 name,
                 dc,
-                store=KeyValueStore(),
                 clock=cluster.make_clock(name),
                 service_time=cluster.config.server_service_time,
             )

@@ -16,6 +16,9 @@ Handles the two phases the client drives:
 Followers stash writes when the ``prepare`` log entry applies and
 install them when the ``commit`` entry applies, so all replicas
 converge in log order.
+
+The store, the partition id, the traced refusal and the no-vote come
+from :class:`~repro.systems.base.RaftParticipant`.
 """
 
 from __future__ import annotations
@@ -30,26 +33,22 @@ from repro.net.payload import (
     ReleaseLocks,
     TwoPLPrepare,
     Vote,
-    VoteReason,
     WoundEvent,
 )
-from repro.net.probing import ProbeTargetMixin
 from repro.obs.abort import AbortReason
-from repro.raft.node import RaftReplica
 from repro.sim import Future
-from repro.store.kv import KeyValueStore
 from repro.store.locks import LockMode, LockRequest, LockTable
+from repro.systems.base import RaftParticipant
 from repro.systems.twopl.policy import BlockerInfo, WoundWaitPolicy
 from repro.txn.priority import Priority
 
 
-class TwoPLParticipant(ProbeTargetMixin, RaftReplica):
+class TwoPLParticipant(RaftParticipant):
     """Leader (and follower) replica of one partition."""
 
-    def __init__(self, *args: Any, store: Optional[KeyValueStore] = None,
+    def __init__(self, *args: Any,
                  policy: Optional[WoundWaitPolicy] = None, **kwargs: Any):
         super().__init__(*args, **kwargs)
-        self.store = store if store is not None else KeyValueStore()
         self.policy = policy or WoundWaitPolicy()
         self.locks = LockTable(
             on_blocked=self._on_blocked, order_key=self.policy.order_key
@@ -167,25 +166,10 @@ class TwoPLParticipant(ProbeTargetMixin, RaftReplica):
         meta = self.txn_meta.get(txn)
         if meta is None:
             # The transaction released (wound raced the prepare); tell
-            # the coordinator no so the attempt aborts cleanly.
-            obs = self.sim.obs
-            if obs.enabled:
-                obs.tracer.refuse(
-                    AbortReason.PREEMPTED, node=self.name, txn=txn
-                )
-            self._network.send(
-                self,
-                payload.coordinator,
-                "vote",
-                VoteReason(
-                    txn,
-                    self.group_partition_id(),
-                    "no",
-                    payload.participants,
-                    payload.client,
-                    str(AbortReason.PREEMPTED),
-                ),
-            )
+            # the coordinator no so the attempt aborts cleanly.  The
+            # prepare is one-way, so the refusal is only traced.
+            self._refusal(txn, AbortReason.PREEMPTED)
+            self._vote_no(payload, AbortReason.PREEMPTED)
             return
         meta["prepared"] = True
         self.propose(("prepare", txn, payload.writes)).add_done_callback(
@@ -195,16 +179,13 @@ class TwoPLParticipant(ProbeTargetMixin, RaftReplica):
                 "vote",
                 Vote(
                     txn,
-                    self.group_partition_id(),
+                    self.partition_id,
                     "yes",
                     meta["participants"],
                     meta["client"],
                 ),
             )
         )
-
-    def group_partition_id(self) -> int:
-        return int(self.name.split("-")[0][1:])
 
     def handle_commit_txn(self, payload: Payload, src: str) -> None:
         txn = payload.txn

@@ -10,11 +10,16 @@ Basic starts around ~370 ms.
 A wound can only land during the read/lock phase; once the client sends
 prepares it ignores wound events (wounding a prepared transaction would
 stall 2PC), and the wounding requester simply waits.
+
+The deployment is :class:`~repro.systems.base.RaftBackedSystem`'s, with
+Carousel's coordinator (it only collects votes and replicates the
+decision here); participants get the wounding policy as their one extra
+keyword.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator
+from typing import Any, Dict, Generator
 
 from repro.net.payload import (
     CommitRequest,
@@ -25,85 +30,32 @@ from repro.net.payload import (
 )
 from repro.obs.abort import AbortReason
 from repro.sim import Future, all_of, any_of
-from repro.store.kv import KeyValueStore
-from repro.systems.base import Cluster, TransactionSystem, attempt_id
+from repro.systems.base import RaftBackedSystem, attempt_id
 from repro.systems.carousel.coordinator import CarouselCoordinator
 from repro.systems.twopl.policy import WoundWaitPolicy
 from repro.systems.twopl.server import TwoPLParticipant
-from repro.raft.group import ReplicationGroup
 from repro.txn.transaction import TransactionSpec
 
 
-class TwoPL(TransactionSystem):
+class TwoPL(RaftBackedSystem):
     """Spanner-like 2PL+2PC; pass a policy for the (P)/(POW) variants."""
+
+    participant_class = TwoPLParticipant
+    coordinator_class = CarouselCoordinator
 
     def __init__(self, policy: WoundWaitPolicy = None) -> None:
         self.policy = policy or WoundWaitPolicy()
         self.name = self.policy.name
 
-    def setup(self, cluster: Cluster) -> None:
-        self.cluster = cluster
-        self.groups: Dict[int, ReplicationGroup] = {}
-        self.leader_names: Dict[int, str] = {}
-        for placement in cluster.placements:
-            group = ReplicationGroup(
-                cluster.sim,
-                cluster.network,
-                placement,
-                config=cluster.config.raft,
-                replica_factory=self._participant_factory,
-            )
-            self.groups[placement.partition_id] = group
-            self.leader_names[placement.partition_id] = group.leader_name
-        self.coordinators: Dict[str, ReplicationGroup] = {}
-        for dc in cluster.topology.datacenters:
-            self.coordinators[dc] = ReplicationGroup(
-                cluster.sim,
-                cluster.network,
-                cluster.coordinator_placement(dc),
-                config=cluster.config.raft,
-                replica_factory=self._coordinator_factory,
-            )
-
-    def _participant_factory(self, sim, network, name, dc, **kwargs):
-        kwargs["rng"] = self.cluster.streams.stream(f"raft.{name}")
-        return TwoPLParticipant(
-            sim,
-            network,
-            name,
-            dc,
-            store=KeyValueStore(),
-            policy=self.policy,
-            clock=self.cluster.make_clock(name),
-            service_time=self.cluster.config.server_service_time,
-            **kwargs,
-        )
-
-    def _coordinator_factory(self, sim, network, name, dc, **kwargs):
-        kwargs["rng"] = self.cluster.streams.stream(f"raft.{name}")
-        return CarouselCoordinator(
-            sim,
-            network,
-            name,
-            dc,
-            partitioner=self.cluster.partitioner,
-            leader_names=self.leader_names,
-            clock=self.cluster.make_clock(name),
-            service_time=self.cluster.config.server_service_time,
-            **kwargs,
-        )
-
-    def coordinator_name(self, datacenter: str) -> str:
-        return self.coordinators[datacenter].leader_name
+    def participant_options(self) -> Dict[str, Any]:
+        return {"policy": self.policy}
 
     # ------------------------------------------------------------------
 
     def execute(self, client, spec: TransactionSpec, attempt: int) -> Generator:
         aid = attempt_id(spec, attempt)
         partitioner = self.cluster.partitioner
-        participants = sorted(
-            partitioner.participants(spec.read_keys, spec.write_keys)
-        )
+        participants = self.participant_ids(spec)
         coordinator = self.coordinator_name(client.datacenter)
         reads_by_pid = partitioner.group_keys(spec.read_keys)
         writes_by_pid = partitioner.group_keys(spec.write_keys)

@@ -4,7 +4,9 @@ Runs a short, contended workload with tracing on, exports the JSONL
 stream, re-parses it and asserts the structural invariants the trace CLI
 relies on: every span/event ties back to a client-opened root ``txn``
 span, attempts nest under their root, and aborted attempts carry a
-classified (non-UNKNOWN) reason.
+classified (non-UNKNOWN) reason.  The module runs once per system in
+``DRAIN_BY_SYSTEM``: Carousel, 2PL+2PC and Natto participants each
+trace their refusals from their own handlers.
 """
 
 import json
@@ -16,26 +18,35 @@ from repro.obs.cli import main as trace_main
 from repro.obs.export import read_jsonl
 from repro.workloads import YcsbTWorkload
 
-SETTINGS = ExperimentSettings(
-    duration=2.0, trim=0.5, drain=4.0, tracing=True
-)
+#: System -> drain cap (s).  Within a 4 s cap 2PL+2PC(P) finishes only
+#: two transactions, both on their first attempt, which would leave the
+#: stats-record check nothing to compare; by 10 s it has finished ten
+#: after hundreds of retries.
+DRAIN_BY_SYSTEM = {"Carousel Basic": 4.0, "2PL+2PC(P)": 10.0, "Natto-RECSF": 4.0}
 
 
-@pytest.fixture(scope="module")
-def traced_result():
+@pytest.fixture(scope="module", params=sorted(DRAIN_BY_SYSTEM))
+def traced_result(request):
     # High contention (few keys) so aborts actually happen.
     return run_experiment(
-        lambda: make_system("Carousel Basic"),
+        lambda: make_system(request.param),
         lambda rng: YcsbTWorkload(rng, num_keys=200),
         60,
-        SETTINGS,
+        ExperimentSettings(
+            duration=2.0,
+            trim=0.5,
+            drain=DRAIN_BY_SYSTEM[request.param],
+            tracing=True,
+        ),
     )
 
 
 @pytest.fixture(scope="module")
 def trace_records(traced_result, tmp_path_factory):
     path = str(tmp_path_factory.mktemp("trace") / "run.trace.jsonl")
-    traced_result.obs.export_jsonl(path, meta={"system": "Carousel Basic"})
+    traced_result.obs.export_jsonl(
+        path, meta={"system": traced_result.system_name}
+    )
     return path, read_jsonl(path)
 
 
