@@ -16,8 +16,11 @@ epoch the writes were computed from.  The coordinator matches those
 epochs against its vote records, which closes the conditional-prepare
 loop safely.
 
+The client driver's :class:`~repro.systems.client.Attempt` resolves the
+decision; ``execute`` handles only the ``reads`` and ``recsf_*`` events.
 Replies that land after their attempt ended (through the first refusal
-or the decision) are ignored.  The deployment is Carousel Basic's, with
+or the decision; ``Attempt.ended``) are ignored, so a late reply never
+starts a commit.  The deployment is Carousel Basic's, with
 the Natto node classes; participants also get the variant's config and
 the partitioner.
 """
@@ -38,7 +41,6 @@ from repro.net.payload import (
 )
 from repro.net.probing import ClientDelayView, ProbeProxy, ProxyDirectory
 from repro.sim import Future, any_of
-from repro.systems.base import attempt_id
 from repro.systems.carousel.basic import CarouselBasic
 from repro.txn.priority import Priority
 from repro.txn.transaction import TransactionSpec
@@ -106,8 +108,8 @@ class Natto(CarouselBasic):
     # ------------------------------------------------------------------
     # Client protocol
 
-    def execute(self, client, spec: TransactionSpec, attempt: int) -> Generator:
-        aid = attempt_id(spec, attempt)
+    def execute(self, client, spec: TransactionSpec, attempt) -> Generator:
+        aid = attempt.aid
         priority = spec.priority
         if self.quota is not None:
             priority = self.quota.authorize(
@@ -117,7 +119,7 @@ class Natto(CarouselBasic):
         if (
             promote_after is not None
             and priority is Priority.LOW
-            and attempt >= promote_after
+            and attempt.number >= promote_after
         ):
             priority = Priority.HIGH  # starvation mitigation (§3.3.1)
 
@@ -139,10 +141,8 @@ class Natto(CarouselBasic):
             for pid in participants
         }
         sent_epochs: Optional[Dict[int, int]] = None
-        decision = Future()
         failed = Future()
         voluntary_abort = [False]
-        ended = False
 
         def deliver(pid: int, values: Dict[str, str], epoch: int) -> None:
             slot = state[pid]
@@ -189,60 +189,53 @@ class Natto(CarouselBasic):
                 deliver(pid, dict(slot["recsf"]), 0)
 
         def on_reply(pid: int, reply: Payload) -> None:
-            if ended:
-                return  # attempt over; the driver took its abort reason
+            if attempt.ended:
+                return  # attempt over: a late reply never starts a commit
             if reply.ok:
                 deliver(pid, reply.values, reply.epoch)
             else:
-                client.note_abort(aid, reply.reason)
+                attempt.note_abort(reply.reason)
                 failed.try_set_result(False)
 
         def on_event(payload: Payload, src: str) -> None:
             kind = payload.kind
-            if kind == "decision":
-                if not payload.committed:
-                    client.note_abort(aid, payload.reason)
-                decision.try_set_result(payload.committed)
-            elif kind == "reads":
+            if kind == "reads":
                 deliver(payload.partition, payload.values, payload.epoch)
             elif kind in ("recsf_base", "recsf_reads"):
                 merge_recsf(payload.partition, payload.values)
 
-        client.register_attempt(aid, on_event)
-        try:
-            # Every participant receives the same body (full key sets);
-            # one payload object serves the whole fan-out.
-            request = NattoReadAndPrepare(
-                aid,
-                assignment.timestamp,
-                int(priority),
-                list(spec.read_keys),
-                list(spec.write_keys),
-                coordinator,
-                client.name,
-                participants,
-                assignment.arrival_estimates,
-                assignment.max_owd,
+        attempt.on_event = on_event
+        # Every participant receives the same body (full key sets); one
+        # payload object serves the whole fan-out.
+        request = NattoReadAndPrepare(
+            aid,
+            assignment.timestamp,
+            int(priority),
+            list(spec.read_keys),
+            list(spec.write_keys),
+            coordinator,
+            client.name,
+            participants,
+            assignment.arrival_estimates,
+            assignment.max_owd,
+        )
+        for pid in participants:
+            future = client.network.call(
+                client,
+                self.leader_names[pid],
+                "read_and_prepare",
+                request,
             )
-            for pid in participants:
-                future = client.network.call(
-                    client,
-                    self.leader_names[pid],
-                    "read_and_prepare",
-                    request,
-                )
-                future.add_done_callback(
-                    lambda f, pid=pid: on_reply(pid, f.value)
-                )
-            result = yield any_of([decision, failed])
-            if voluntary_abort[0]:
-                if not decision.done:
-                    yield decision
-                result = True
-            committed = bool(result)
-            if committed and self.quota is not None:
-                self.quota.finish(spec.txn_id)
-            return committed
-        finally:
-            ended = True
-            client.unregister_attempt(aid)
+            future.add_done_callback(
+                lambda f, pid=pid: on_reply(pid, f.value)
+            )
+        decision = attempt.decision
+        result = yield any_of([decision, failed])
+        if voluntary_abort[0]:
+            if not decision.done:
+                yield decision
+            result = True
+        committed = bool(result)
+        if committed and self.quota is not None:
+            self.quota.finish(spec.txn_id)
+        return committed

@@ -148,12 +148,20 @@ class TransactionSystem(abc.ABC):
 
     @abc.abstractmethod
     def execute(
-        self, client: "ClientDriver", spec: TransactionSpec, attempt: int
+        self, client: "ClientDriver", spec: TransactionSpec, attempt: "Attempt"
     ) -> Generator:
         """One transaction attempt, as a process generator.
 
         Yields simulator suspension points; returns True iff the attempt
-        committed (False means abort — the client driver retries).
+        committed (False means abort — the client driver retries).  The
+        driver owns ``attempt`` (a :class:`~repro.systems.client.Attempt`)
+        and registers it for the run of ``execute``: use ``attempt.aid``
+        as the protocol-level id and ``attempt.number`` as the retry
+        count, wait on ``attempt.decision`` for the coordinator's
+        decision event, set ``attempt.on_event`` for any other event
+        kind, and report an abort's cause with ``attempt.note_abort``
+        (or ``attempt.refused`` over a fan-out's replies).  Abort reasons
+        from the decision event are recorded by the driver.
         """
 
     def on_client_created(self, client: "ClientDriver") -> None:

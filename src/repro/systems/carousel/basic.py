@@ -13,17 +13,20 @@ The happy path, exactly as in Figure 1 of the Natto paper:
    commits; participants learn the outcome asynchronously, replicate
    the write data, apply and release.
 
-Any OCC conflict at any participant aborts the attempt; the client
-driver retries immediately with a fresh attempt id.
+Any OCC conflict at any participant leader aborts the attempt; the
+client driver retries immediately with a fresh attempt id.
 
 The deployment (partition groups, coordinator groups, addressing) is
 :class:`~repro.systems.base.RaftBackedSystem`'s; this module adds the
-node classes and the client protocol.
+node classes and the client protocol.  Carousel Fast runs the same
+``execute`` through two hooks: :meth:`CarouselBasic.prepare_replicas`
+(which replicas of a partition get the read-and-prepare) and
+:meth:`CarouselBasic.commit_request` (the commit request's payload).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator
+from typing import Dict, Generator, List, Sequence
 
 from repro.net.payload import (
     AbortRequest,
@@ -31,8 +34,8 @@ from repro.net.payload import (
     CommitRequest,
     Payload,
 )
-from repro.sim import Future, all_of
-from repro.systems.base import RaftBackedSystem, attempt_id
+from repro.sim import all_of
+from repro.systems.base import RaftBackedSystem
 from repro.systems.carousel.coordinator import CarouselCoordinator
 from repro.systems.carousel.server import CarouselParticipant
 from repro.txn.transaction import TransactionSpec
@@ -48,70 +51,89 @@ class CarouselBasic(RaftBackedSystem):
     # ------------------------------------------------------------------
     # Client protocol
 
-    def execute(self, client, spec: TransactionSpec, attempt: int) -> Generator:
-        aid = attempt_id(spec, attempt)
+    def execute(self, client, spec: TransactionSpec, attempt) -> Generator:
+        aid = attempt.aid
         participants = self.participant_ids(spec)
         coordinator = self.coordinator_name(client.datacenter)
         reads_by_pid = self.cluster.partitioner.group_keys(spec.read_keys)
         writes_by_pid = self.cluster.partitioner.group_keys(spec.write_keys)
 
-        decision = Future()
-
-        def on_event(payload: Payload, src: str) -> None:
-            if payload.kind != "decision":
-                return
-            if not payload.committed:
-                client.note_abort(aid, payload.reason)
-            decision.try_set_result(payload.committed)
-
-        client.register_attempt(aid, on_event)
-        try:
-            replies = yield all_of(
-                [
-                    client.network.call(
-                        client,
-                        self.leader_names[pid],
-                        "read_and_prepare",
-                        CarouselReadAndPrepare(
-                            aid,
-                            reads_by_pid.get(pid, []),
-                            writes_by_pid.get(pid, []),
-                            coordinator,
-                            client.name,
-                            participants,
-                        ),
-                    )
-                    for pid in participants
-                ]
+        calls = []
+        leader_calls = []
+        for pid in participants:
+            # One payload object serves every replica of the partition.
+            body = CarouselReadAndPrepare(
+                aid,
+                reads_by_pid.get(pid, []),
+                writes_by_pid.get(pid, []),
+                coordinator,
+                client.name,
+                participants,
             )
-            if not all(reply.ok for reply in replies):
-                # Some participant refused to prepare; its no-vote drives
-                # the coordinator's abort + cleanup.  Retry immediately.
-                for reply in replies:
-                    if not reply.ok:
-                        client.note_abort(aid, reply.reason)
-                        break
-                return False
-            read_results: Dict[str, str] = {}
-            for reply in replies:
-                read_results.update(reply.values)
-            writes = spec.make_writes(read_results)
-            if writes is None:
-                client.network.send(
+            leader = self.leader_names[pid]
+            for replica in self.prepare_replicas(pid):
+                is_leader = replica == leader
+                call = client.network.call(
                     client,
-                    coordinator,
-                    "abort_request",
-                    AbortRequest(aid, client.name, participants),
+                    replica,
+                    (
+                        "read_and_prepare"
+                        if is_leader
+                        else "read_and_prepare_replica"
+                    ),
+                    body,
                 )
-                yield decision
-                return True  # voluntary abort: the transaction completed
+                calls.append(call)
+                if is_leader:
+                    leader_calls.append(call)
+        replies = yield all_of(calls)
+        leader_replies = [call.value for call in leader_calls]
+        if attempt.refused(leader_replies):
+            # A leader refused to prepare; its no-vote drives the
+            # coordinator's abort + cleanup.  Retry immediately.
+            return False
+        read_results: Dict[str, str] = {}
+        for reply in leader_replies:
+            read_results.update(reply.values)
+        writes = spec.make_writes(read_results)
+        if writes is None:
             client.network.send(
                 client,
                 coordinator,
-                "commit_request",
-                CommitRequest(aid, client.name, participants, writes),
+                "abort_request",
+                AbortRequest(aid, client.name, participants),
             )
-            committed = yield decision
-            return bool(committed)
-        finally:
-            client.unregister_attempt(aid)
+            yield attempt.decision
+            return True  # voluntary abort: the transaction completed
+        client.network.send(
+            client,
+            coordinator,
+            "commit_request",
+            self.commit_request(
+                aid,
+                client.name,
+                participants,
+                writes,
+                all(reply.ok for reply in replies),
+            ),
+        )
+        committed = yield attempt.decision
+        return bool(committed)
+
+    def prepare_replicas(self, pid: int) -> Sequence[str]:
+        """Replicas of partition ``pid`` that get a read-and-prepare, in
+        send order: the leader (``read_and_prepare``); any other gets
+        ``read_and_prepare_replica``."""
+        return (self.leader_names[pid],)
+
+    def commit_request(
+        self,
+        aid: str,
+        client: str,
+        participants: List[int],
+        writes: Dict[str, str],
+        unanimous: bool,
+    ) -> Payload:
+        """The commit request; ``unanimous`` tells whether every replica
+        that got a read-and-prepare accepted it."""
+        return CommitRequest(aid, client, participants, writes)

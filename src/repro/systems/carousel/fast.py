@@ -16,17 +16,21 @@ follower replicas hold their prepared marks until the committed writes
 so at high contention followers refuse transactions the leader would
 accept, pushing the system off the fast path and up the abort rate.
 
-Followers keep their abort tombstones in the same
+The client protocol is Carousel Basic's ``execute``: Fast names every
+replica in ``prepare_replicas`` and sends a ``FastCommitRequest`` that
+says whether every replica accepted.  When a leader refuses, the
+followers' prepared marks are cleared by the coordinator's
+``fast_outcome`` fan-out once it decides the abort.  Followers keep
+their abort tombstones in the same
 :class:`~repro.systems.base.RaftParticipant` structures as leaders; the
 coordinators get the replica names as their one extra keyword.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List
+from typing import Any, Dict, List, Sequence
 
 from repro.net.payload import (
-    AbortRequest,
     CarouselReadAndPrepare,
     FastCommitRequest,
     FastOutcome,
@@ -34,12 +38,9 @@ from repro.net.payload import (
     ReadOk,
 )
 from repro.obs.abort import AbortReason
-from repro.sim import Future, all_of
-from repro.systems.base import attempt_id
 from repro.systems.carousel.basic import CarouselBasic
 from repro.systems.carousel.coordinator import CarouselCoordinator, CoordinatedTxn
 from repro.systems.carousel.server import CarouselParticipant
-from repro.txn.transaction import TransactionSpec
 
 
 class FastParticipant(CarouselParticipant):
@@ -121,87 +122,15 @@ class CarouselFast(CarouselBasic):
             }
         }
 
-    def execute(self, client, spec: TransactionSpec, attempt: int) -> Generator:
-        aid = attempt_id(spec, attempt)
-        participants = self.participant_ids(spec)
-        coordinator = self.coordinator_name(client.datacenter)
-        reads_by_pid = self.cluster.partitioner.group_keys(spec.read_keys)
-        writes_by_pid = self.cluster.partitioner.group_keys(spec.write_keys)
+    def prepare_replicas(self, pid: int) -> Sequence[str]:
+        return self.groups[pid].replica_names
 
-        decision = Future()
-
-        def on_event(payload: Payload, src: str) -> None:
-            if payload.kind != "decision":
-                return
-            if not payload.committed:
-                client.note_abort(aid, payload.reason)
-            decision.try_set_result(payload.committed)
-
-        client.register_attempt(aid, on_event)
-        try:
-            calls = []
-            call_meta = []  # (partition, is_leader)
-            for pid in participants:
-                body = CarouselReadAndPrepare(
-                    aid,
-                    reads_by_pid.get(pid, []),
-                    writes_by_pid.get(pid, []),
-                    coordinator,
-                    client.name,
-                    participants,
-                )
-                group = self.groups[pid]
-                for replica in group.replica_names:
-                    is_leader = replica == group.leader_name
-                    method = (
-                        "read_and_prepare"
-                        if is_leader
-                        else "read_and_prepare_replica"
-                    )
-                    calls.append(
-                        client.network.call(client, replica, method, body)
-                    )
-                    call_meta.append((pid, is_leader))
-            replies = yield all_of(calls)
-
-            leader_ok = {}
-            leader_values: Dict[str, str] = {}
-            unanimous = True
-            for (pid, is_leader), reply in zip(call_meta, replies):
-                if not reply.ok:
-                    unanimous = False
-                if is_leader:
-                    leader_ok[pid] = reply.ok
-                    if reply.ok:
-                        leader_values.update(reply.values)
-            if not all(leader_ok.values()):
-                # A leader refused: abort (its no-vote triggers cleanup);
-                # follower marks are cleared by the coordinator's
-                # fast_outcome fan-out when it decides the abort.
-                for (pid, is_leader), reply in zip(call_meta, replies):
-                    if is_leader and not reply.ok:
-                        client.note_abort(aid, reply.reason)
-                        break
-                return False
-            writes = spec.make_writes(leader_values)
-            if writes is None:
-                client.network.send(
-                    client,
-                    coordinator,
-                    "abort_request",
-                    AbortRequest(aid, client.name, participants),
-                )
-                yield decision
-                return True
-            client.network.send(
-                client,
-                coordinator,
-                "commit_request",
-                FastCommitRequest(
-                    aid, client.name, participants, writes, unanimous
-                ),
-            )
-            committed = yield decision
-            return bool(committed)
-        finally:
-            client.unregister_attempt(aid)
+    def commit_request(
+        self,
+        aid: str,
+        client: str,
+        participants: List[int],
+        writes: Dict[str, str],
+        unanimous: bool,
+    ) -> Payload:
+        return FastCommitRequest(aid, client, participants, writes, unanimous)

@@ -13,15 +13,18 @@ each datacenter.  The driver implements the paper's measurement rules:
 * a committed transaction's latency covers first attempt through final
   commit.
 
-The driver is also the client-side network endpoint: systems route
-asynchronous per-transaction messages (wounds, priority aborts, late
-read results, ...) through ``txn_event`` messages, dispatched to the
-handler registered for the attempt.
+The driver owns each attempt's lifecycle: it makes one :class:`Attempt`
+per try, hands it to the system's ``execute`` and retires it when
+``execute`` returns.  It is also the client-side network endpoint:
+systems route asynchronous per-attempt messages through ``txn_event``
+messages.  A coordinator's ``decision`` resolves ``Attempt.decision``
+(recording the abort reason); any other kind (wounds, late read
+results, ...) goes to the attempt's ``on_event`` handler.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, Optional
+from typing import Callable, Dict, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -29,12 +32,52 @@ from repro.cluster.node import Node
 from repro.net.network import Network
 from repro.net.payload import Payload
 from repro.obs.abort import reason_value
-from repro.sim import Simulator
+from repro.sim import Future, Simulator
+from repro.systems.base import attempt_id
 from repro.txn.stats import StatsCollector, TxnOutcome, TxnRecord
 from repro.txn.transaction import TransactionSpec
 
 #: Retries after which a client gives a transaction up (§5.1).
 MAX_RETRIES = 100
+
+
+class Attempt:
+    """One try of one logical transaction, owned by the client driver.
+
+    ``execute`` reads ``aid`` (the protocol-level id) and ``number``
+    (0 for the first try), waits on ``decision`` for the coordinator's
+    outcome, may set ``on_event`` to receive the attempt's other
+    ``txn_event`` kinds, and reports why the attempt aborted through
+    :meth:`note_abort`.  ``ended`` turns true once ``execute`` returned;
+    events for the attempt are dropped from then on.
+    """
+
+    __slots__ = ("aid", "number", "decision", "on_event", "reason", "ended")
+
+    def __init__(self, aid: str, number: int) -> None:
+        self.aid = aid
+        self.number = number
+        self.decision = Future()
+        self.on_event: Optional[Callable[[Payload, str], None]] = None
+        self.reason: Optional[str] = None
+        self.ended = False
+
+    def note_abort(self, reason) -> None:
+        """Record why the attempt aborted; the first reported cause wins.
+
+        Systems call this from wherever they learn the reason (a refusal
+        reply, a no-vote-driven decision, a wound).
+        """
+        if reason is not None and self.reason is None:
+            self.reason = reason_value(reason)
+
+    def refused(self, replies: Sequence[Payload]) -> bool:
+        """Note the first refusal among ``replies``; whether there was one."""
+        for reply in replies:
+            if not reply.ok:
+                self.note_abort(reply.reason)
+                return True
+        return False
 
 
 class ClientDriver(Node):
@@ -56,10 +99,9 @@ class ClientDriver(Node):
         self.system = system
         self.stats = stats
         self.max_retries = max_retries
-        self._event_handlers: Dict[str, Callable[[dict, str], None]] = {}
         self.txn_start_times: Dict[str, float] = {}
-        #: attempt id -> first abort reason reported (see note_abort).
-        self._abort_reasons: Dict[str, str] = {}
+        #: attempt id -> the attempt, while its ``execute`` runs.
+        self._attempts: Dict[str, Attempt] = {}
         self.inflight = 0
         network.register(self)
         system.on_client_created(self)
@@ -109,8 +151,6 @@ class ClientDriver(Node):
         return self.sim.spawn(self._run(spec))
 
     def _run(self, spec: TransactionSpec) -> Generator:
-        from repro.systems.base import attempt_id
-
         start = self.sim.now
         self.inflight += 1
         # Systems that need a retry-stable age (wound-wait) read this.
@@ -135,8 +175,14 @@ class ClientDriver(Node):
                 attempt_span = obs.tracer.span(
                     "attempt", node=self.name, txn=aid, parent=root
                 )
-            committed = yield from self.system.execute(self, spec, attempt)
-            reason = self._abort_reasons.pop(aid, None)
+            current = Attempt(aid, attempt)
+            self._attempts[aid] = current
+            try:
+                committed = yield from self.system.execute(self, spec, current)
+            finally:
+                current.ended = True
+                self._attempts.pop(aid, None)
+            reason = current.reason
             if attempt_span is not None:
                 attempt_span.set(committed=committed)
                 attempt_span.finish()
@@ -174,28 +220,16 @@ class ClientDriver(Node):
         )
         return committed
 
-    def note_abort(self, attempt_id: str, reason) -> None:
-        """Record why an attempt aborted; the first reported cause wins.
-
-        Systems call this from wherever they learn the reason (a refusal
-        reply, a no-vote-driven decision event, a wound).  The driver
-        consumes the entry when the attempt finishes.
-        """
-        if reason is not None and attempt_id not in self._abort_reasons:
-            self._abort_reasons[attempt_id] = reason_value(reason)
-
     # ------------------------------------------------------------------
     # Asynchronous per-attempt events
 
-    def register_attempt(
-        self, attempt_id: str, handler: Callable[[Payload, str], None]
-    ) -> None:
-        self._event_handlers[attempt_id] = handler
-
-    def unregister_attempt(self, attempt_id: str) -> None:
-        self._event_handlers.pop(attempt_id, None)
-
     def handle_txn_event(self, payload: Payload, src: str) -> None:
-        handler = self._event_handlers.get(payload.txn)
-        if handler is not None:
-            handler(payload, src)
+        attempt = self._attempts.get(payload.txn)
+        if attempt is None:
+            return  # an unknown or ended attempt
+        if payload.kind == "decision":
+            if not payload.committed:
+                attempt.note_abort(payload.reason)
+            attempt.decision.try_set_result(payload.committed)
+        elif attempt.on_event is not None:
+            attempt.on_event(payload, src)

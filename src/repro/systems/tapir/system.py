@@ -29,7 +29,7 @@ from repro.net.payload import (
     TapirRead,
 )
 from repro.sim import all_of
-from repro.systems.base import Cluster, TransactionSystem, attempt_id
+from repro.systems.base import Cluster, TransactionSystem
 from repro.systems.tapir.replica import TapirReplica
 from repro.txn.transaction import TransactionSpec
 
@@ -77,8 +77,8 @@ class Tapir(TransactionSystem):
 
     # ------------------------------------------------------------------
 
-    def execute(self, client, spec: TransactionSpec, attempt: int) -> Generator:
-        aid = attempt_id(spec, attempt)
+    def execute(self, client, spec: TransactionSpec, attempt) -> Generator:
+        aid = attempt.aid
         partitioner = self.cluster.partitioner
         topology = self.cluster.topology
         participants = sorted(
@@ -147,7 +147,7 @@ class Tapir(TransactionSystem):
             else:
                 decisions[pid] = "abort"
         if any(d == "abort" for d in decisions.values()):
-            client.note_abort(aid, abort_reason)
+            attempt.note_abort(abort_reason)
 
         if slow_path_pids and all(d == "ok" for d in decisions.values()):
             # Slow path starts immediately; wait for majority acks.

@@ -9,7 +9,9 @@ Basic starts around ~370 ms.
 
 A wound can only land during the read/lock phase; once the client sends
 prepares it ignores wound events (wounding a prepared transaction would
-stall 2PC), and the wounding requester simply waits.
+stall 2PC), and the wounding requester simply waits.  The wound is the
+one event kind ``execute`` handles itself; the client driver's
+:class:`~repro.systems.client.Attempt` resolves the decision.
 
 The deployment is :class:`~repro.systems.base.RaftBackedSystem`'s, with
 Carousel's coordinator (it only collects votes and replicates the
@@ -30,7 +32,7 @@ from repro.net.payload import (
 )
 from repro.obs.abort import AbortReason
 from repro.sim import Future, all_of, any_of
-from repro.systems.base import RaftBackedSystem, attempt_id
+from repro.systems.base import RaftBackedSystem
 from repro.systems.carousel.coordinator import CarouselCoordinator
 from repro.systems.twopl.policy import WoundWaitPolicy
 from repro.systems.twopl.server import TwoPLParticipant
@@ -52,8 +54,8 @@ class TwoPL(RaftBackedSystem):
 
     # ------------------------------------------------------------------
 
-    def execute(self, client, spec: TransactionSpec, attempt: int) -> Generator:
-        aid = attempt_id(spec, attempt)
+    def execute(self, client, spec: TransactionSpec, attempt) -> Generator:
+        aid = attempt.aid
         partitioner = self.cluster.partitioner
         participants = self.participant_ids(spec)
         coordinator = self.coordinator_name(client.datacenter)
@@ -64,92 +66,78 @@ class TwoPL(RaftBackedSystem):
         wound_ts = client.txn_start_times.get(spec.txn_id, client.sim.now)
 
         wounded = Future()
-        decision = Future()
 
-        def on_event(payload: Payload, src: str) -> None:
+        def on_wound(payload: Payload, src: str) -> None:
             if payload.kind == "wound":
-                client.note_abort(aid, AbortReason.PREEMPTED)
+                attempt.note_abort(AbortReason.PREEMPTED)
                 wounded.try_set_result(True)
-            elif payload.kind == "decision":
-                if not payload.committed:
-                    client.note_abort(aid, payload.reason)
-                decision.try_set_result(payload.committed)
 
-        client.register_attempt(aid, on_event)
-        try:
-            # ---- Phase 1: read locks + reads (wound can land here) ----
-            read_calls = all_of(
-                [
-                    client.network.call(
-                        client,
-                        self.leader_names[pid],
-                        "lock_read",
-                        LockRead(
-                            aid,
-                            reads_by_pid.get(pid, []),
-                            writes_by_pid.get(pid, []),
-                            wound_ts,
-                            int(spec.priority),
-                            client.name,
-                            coordinator,
-                            participants,
-                        ),
-                    )
-                    for pid in participants
-                ]
-            )
-            outcome = yield any_of([read_calls, wounded])
-            if wounded.done or (
-                isinstance(outcome, list)
-                and not all(r.ok for r in outcome)
-            ):
-                if not wounded.done and isinstance(outcome, list):
-                    for reply in outcome:
-                        if not reply.ok:
-                            client.note_abort(aid, reply.reason)
-                            break
-                self._release_everywhere(client, aid, participants)
-                return False
-            read_values: Dict[str, str] = {}
-            for reply in outcome:
-                read_values.update(reply.values)
+        attempt.on_event = on_wound
 
-            writes = spec.make_writes(read_values)
-            if writes is None:
-                self._release_everywhere(client, aid, participants)
-                return True  # voluntary abort after reads
-
-            # ---- Phase 2: 2PC (wounds are ignored from here on) ----
-            for pid in participants:
-                client.network.send(
+        # ---- Phase 1: read locks + reads (wound can land here) ----
+        read_calls = all_of(
+            [
+                client.network.call(
                     client,
                     self.leader_names[pid],
-                    "twopl_prepare",
-                    TwoPLPrepare(
+                    "lock_read",
+                    LockRead(
                         aid,
-                        {
-                            key: writes[key]
-                            for key in writes_by_pid.get(pid, [])
-                            if key in writes
-                        },
-                        coordinator,
+                        reads_by_pid.get(pid, []),
+                        writes_by_pid.get(pid, []),
+                        wound_ts,
+                        int(spec.priority),
                         client.name,
+                        coordinator,
                         participants,
                     ),
                 )
-            # Participants replicate the write data with their prepare
-            # records; the coordinator replicates only its commit
-            # decision, so the commit request carries no writes.
+                for pid in participants
+            ]
+        )
+        outcome = yield any_of([read_calls, wounded])
+        # Unless the wound won, ``outcome`` is the list of lock replies.
+        if wounded.done or attempt.refused(outcome):
+            self._release_everywhere(client, aid, participants)
+            return False
+        read_values: Dict[str, str] = {}
+        for reply in outcome:
+            read_values.update(reply.values)
+
+        writes = spec.make_writes(read_values)
+        if writes is None:
+            self._release_everywhere(client, aid, participants)
+            return True  # voluntary abort after reads
+
+        # ---- Phase 2: 2PC (wounds are ignored from here on) ----
+        for pid in participants:
             client.network.send(
                 client,
-                coordinator,
-                "commit_request",
-                CommitRequest(aid, client.name, participants, {}),
+                self.leader_names[pid],
+                "twopl_prepare",
+                TwoPLPrepare(
+                    aid,
+                    {
+                        key: writes[key]
+                        for key in writes_by_pid.get(pid, [])
+                        if key in writes
+                    },
+                    coordinator,
+                    client.name,
+                    participants,
+                ),
             )
-            committed = yield decision
-            return bool(committed)
-        finally:
-            client.unregister_attempt(aid)
+        # Participants replicate the write data with their prepare
+        # records; the coordinator replicates only its commit
+        # decision, so the commit request carries no writes.
+        client.network.send(
+            client,
+            coordinator,
+            "commit_request",
+            CommitRequest(aid, client.name, participants, {}),
+        )
+        committed = yield attempt.decision
+        return bool(committed)
 
     def _release_everywhere(self, client, aid: str, participants) -> None:
         request = ReleaseLocks(aid)

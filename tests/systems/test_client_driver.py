@@ -1,16 +1,31 @@
 """Tests for the client driver's retry loop and event routing."""
 
 import numpy as np
+import pytest
 
+from repro.harness import (
+    SYSTEM_FACTORIES,
+    ExperimentSettings,
+    make_system,
+    run_experiment,
+)
 from repro.net.network import Network
-from repro.net.payload import DecisionEvent
+from repro.net.payload import (
+    DecisionEvent,
+    DecisionEventReason,
+    ReadOk,
+    Refusal,
+    WoundEvent,
+)
 from repro.net.topology import azure_topology
+from repro.obs.abort import AbortReason
 from repro.sim import Simulator
 from repro.systems.base import TransactionSystem
-from repro.systems.client import ClientDriver
+from repro.systems.client import Attempt, ClientDriver
 from repro.txn.priority import Priority
 from repro.txn.stats import StatsCollector, TxnOutcome
 from repro.txn.transaction import TransactionSpec
+from repro.workloads import YcsbTWorkload
 
 
 class ScriptedSystem(TransactionSystem):
@@ -27,9 +42,30 @@ class ScriptedSystem(TransactionSystem):
         pass
 
     def execute(self, client, spec, attempt):
-        self.attempts_seen.append((spec.txn_id, attempt))
+        self.attempts_seen.append((spec.txn_id, attempt.number))
         yield self.cost
-        return attempt >= self.failures
+        return attempt.number >= self.failures
+
+
+class DecidedSystem(TransactionSystem):
+    """Waits for each attempt's decision event; records other events."""
+
+    name = "decided"
+
+    def __init__(self):
+        self.attempts = []
+        self.events = []
+
+    def setup(self, cluster):
+        pass
+
+    def execute(self, client, spec, attempt):
+        self.attempts.append(attempt)
+        attempt.on_event = lambda payload, src: self.events.append(
+            (payload.txn, payload.kind)
+        )
+        committed = yield attempt.decision
+        return committed
 
 
 def build(system):
@@ -102,18 +138,61 @@ def test_start_time_registry_cleaned_up():
 
 
 def test_event_routing_by_attempt_id():
-    system = ScriptedSystem()
+    system = DecidedSystem()
     sim, client, stats = build(system)
-    seen = []
-    client.register_attempt("t1.0", lambda p, src: seen.append(p))
-    client.handle_txn_event(DecisionEvent("t1.0", True), "someone")
+    client.submit(spec())
+    sim.run()
+    (first,) = system.attempts
+    assert client._attempts == {"t1.0": first}
+
+    # Kinds other than the decision reach the attempt's handler.
+    client.handle_txn_event(WoundEvent("t1.0", "c2"), "someone")
+    assert system.events == [("t1.0", "wound")]
+
+    # An abort decision resolves the attempt; the first reason wins.
+    first.note_abort(AbortReason.PREEMPTED)
+    client.handle_txn_event(
+        DecisionEventReason("t1.0", False, "OCC_CONFLICT"), "someone"
+    )
+    assert first.decision.done and first.decision.value is False
+    assert first.reason == AbortReason.PREEMPTED.value
+
+    # The driver retires the attempt and retries with a fresh one.
+    sim.run()
+    assert first.ended
+    assert [a.number for a in system.attempts] == [0, 1]
+    second = system.attempts[1]
+    assert client._attempts == {"t1.1": second}
+
+    # Events for an ended or unknown attempt are dropped.
+    client.handle_txn_event(WoundEvent("t1.0", "c2"), "someone")
     client.handle_txn_event(DecisionEvent("other", True), "someone")
-    assert [p.as_dict() for p in seen] == [
-        DecisionEvent("t1.0", True).as_dict()
-    ]
-    client.unregister_attempt("t1.0")
-    client.handle_txn_event(DecisionEvent("t1.0", False), "someone")
-    assert len(seen) == 1
+    assert system.events == [("t1.0", "wound")]
+    assert not second.decision.done
+
+    client.handle_txn_event(
+        DecisionEventReason("t1.1", False, "OCC_CONFLICT"), "someone"
+    )
+    assert second.reason == AbortReason.OCC_CONFLICT.value
+    sim.run()
+    third = system.attempts[2]
+    client.handle_txn_event(DecisionEvent("t1.2", True), "someone")
+    assert third.reason is None
+    sim.run()
+    (record,) = stats.records
+    assert record.committed and record.retries == 2
+    assert record.abort_reasons == ("PREEMPTED", "OCC_CONFLICT")
+    assert client._attempts == {} and client.inflight == 0
+
+
+def test_refused_notes_the_first_refusal():
+    attempt = Attempt("t1.0", 0)
+    assert not attempt.refused([ReadOk({}), ReadOk({})])
+    assert attempt.reason is None
+    assert attempt.refused(
+        [ReadOk({}), Refusal("OCC_CONFLICT"), Refusal("PREEMPTED")]
+    )
+    assert attempt.reason == "OCC_CONFLICT"
 
 
 def test_open_loop_submission_rate():
@@ -151,3 +230,29 @@ def test_records_preserve_priority_and_type():
     (record,) = stats.records
     assert record.priority is Priority.HIGH
     assert record.txn_type == "special"
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEM_FACTORIES))
+def test_no_attempt_outlives_a_settled_run(name):
+    """Once every transaction finished, no client holds an attempt: each
+    ``execute`` returned and the driver retired its attempt, whatever
+    replies or events arrived for it later."""
+    system = make_system(name)
+    clients = []
+    created = system.on_client_created
+
+    def capture(client):
+        clients.append(client)
+        created(client)
+
+    system.on_client_created = capture
+    result = run_experiment(
+        lambda: system,
+        lambda rng: YcsbTWorkload(rng, num_keys=600),
+        20,
+        ExperimentSettings(duration=2.0, trim=0.5, drain=40.0, seed=0),
+    )
+    assert result.unfinished == 0
+    assert clients
+    assert all(not client._attempts for client in clients)
+    assert all(client.inflight == 0 for client in clients)
