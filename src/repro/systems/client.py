@@ -8,8 +8,8 @@ each datacenter.  The driver implements the paper's measurement rules:
   not counted as new arrivals;
 * **immediate retry** — an aborted transaction is retried at once, with
   a fresh attempt id;
-* **retry budget** — after 100 failed attempts the transaction is marked
-  failed and its latency excluded;
+* **retry budget** — after 100 retries (101 failed attempts) the
+  transaction is marked failed and its latency excluded;
 * a committed transaction's latency covers first attempt through final
   commit.
 
