@@ -5,7 +5,7 @@ high-priority (sendPayment) 95P latency increases by >200% over its
 value at 100 txn/s, while Natto-RECSF stays under a 50% increase.
 """
 
-from repro.experiments import figure10
+from repro.experiments import EXHIBITS, run_exhibit
 
 from benchmarks.conftest import run_once
 
@@ -14,7 +14,8 @@ RATES = (100, 2500)
 
 def test_fig10_sendpayment_priority(benchmark, bench_scale):
     tables = run_once(
-        benchmark, lambda: figure10.run(scale=bench_scale, rates=RATES)
+        benchmark,
+        lambda: run_exhibit(EXHIBITS["fig10"], bench_scale, x_values=RATES),
     )
     for table in tables.values():
         table.print()

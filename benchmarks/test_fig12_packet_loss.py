@@ -6,7 +6,7 @@ replicated bytes; Natto-RECSF lasts to ~2.5%; at typical loss rates
 (<1%) Natto still leads.
 """
 
-from repro.experiments import figure12
+from repro.experiments import EXHIBITS, run_exhibit
 
 from benchmarks.conftest import run_once
 
@@ -15,7 +15,7 @@ LOSSES = (0.0, 1.5)
 
 def test_fig12_packet_loss(benchmark, bench_scale):
     tables = run_once(
-        benchmark, lambda: figure12.run(scale=bench_scale, systems=("2PL+2PC", "TAPIR", "Carousel Basic", "Natto-RECSF"), loss_rates=LOSSES)
+        benchmark, lambda: run_exhibit(EXHIBITS["fig12"], bench_scale, systems=("2PL+2PC", "TAPIR", "Carousel Basic", "Natto-RECSF"), x_values=LOSSES)
     )
     for table in tables.values():
         table.print()

@@ -5,13 +5,13 @@ high-priority tails than every baseline in the noisier cross-provider
 network.
 """
 
-from repro.experiments import figure13
+from repro.experiments import EXHIBITS, run_exhibit
 
 from benchmarks.conftest import run_once
 
 
 def test_fig13_hybrid_cloud(benchmark, bench_scale):
-    tables = run_once(benchmark, lambda: figure13.run(scale=bench_scale, systems=("2PL+2PC", "TAPIR", "Carousel Basic", "Natto-TS", "Natto-RECSF")))
+    tables = run_once(benchmark, lambda: run_exhibit(EXHIBITS["fig13"], bench_scale, systems=("2PL+2PC", "TAPIR", "Carousel Basic", "Natto-TS", "Natto-RECSF")))
     for table in tables.values():
         table.print()
     high = tables["high"]

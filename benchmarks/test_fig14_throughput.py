@@ -5,7 +5,11 @@ every system, and Carousel Basic and Natto sit close together (the
 timestamp machinery costs little CPU).
 """
 
-from repro.experiments import figure14
+from dataclasses import replace
+from functools import partial
+
+from repro.experiments import EXHIBITS, run_exhibit
+from repro.experiments.exhibits import fig14_point
 
 from benchmarks.conftest import run_once
 
@@ -16,13 +20,19 @@ SYSTEMS = ("Carousel Basic", "Natto-RECSF")
 def test_fig14_throughput_scaling(benchmark, bench_scale):
     tables = run_once(
         benchmark,
-        lambda: figure14.run(
-            scale=bench_scale,
-            systems=SYSTEMS,
-            partitions=PARTITIONS,
+        lambda: run_exhibit(
             # Saturate with fewer events: pricier messages, less load.
-            offered_per_partition=1500,
-            service_time=150e-6,
+            replace(
+                EXHIBITS["fig14"],
+                point=partial(
+                    fig14_point,
+                    offered_per_partition=1500,
+                    service_time=150e-6,
+                ),
+            ),
+            bench_scale,
+            systems=SYSTEMS,
+            x_values=PARTITIONS,
         ),
     )
     for table in tables.values():

@@ -4,7 +4,7 @@ Paper shape: at 1500 txn/s Natto-RECSF sits around ~430 ms while the
 2PL variants are in the seconds and TAPIR/Carousel worse still.
 """
 
-from repro.experiments import figure7
+from repro.experiments import EXHIBITS, run_exhibit
 
 from benchmarks.conftest import run_once
 
@@ -16,7 +16,7 @@ RATES = (100, 1500)
 def test_fig7cd_retwis(benchmark, bench_scale):
     tables = run_once(
         benchmark,
-        lambda: figure7.run_retwis(scale=bench_scale, systems=SYSTEMS, rates=RATES),
+        lambda: run_exhibit(EXHIBITS["fig7c"], bench_scale, systems=SYSTEMS, x_values=RATES),
     )
     for table in tables.values():
         table.print()

@@ -6,7 +6,7 @@ Natto-RECSF stays low until high-priority transactions dominate, and
 is not designed for a 100%-high-priority workload.
 """
 
-from repro.experiments import figure9
+from repro.experiments import EXHIBITS, run_exhibit
 
 from benchmarks.conftest import run_once
 
@@ -16,7 +16,7 @@ PERCENTAGES = (10, 60, 100)
 def test_fig9_priority_mix(benchmark, bench_scale):
     tables = run_once(
         benchmark,
-        lambda: figure9.run(scale=bench_scale, percentages=PERCENTAGES),
+        lambda: run_exhibit(EXHIBITS["fig9"], bench_scale, x_values=PERCENTAGES),
     )
     for table in tables.values():
         table.print()

@@ -23,7 +23,7 @@ depends on, all running on a deterministic discrete-event simulator:
 ``repro.workloads``       YCSB+T, Retwis, SmallBank
 ``repro.harness``         experiment runner and reporting
 ``repro.verify``          conflict-serializability checking
-``repro.experiments``     one module per paper table/figure + CLI
+``repro.experiments``     one row per paper exhibit, one runner + CLI
 ========================  ==============================================
 
 Quick start: see ``examples/quickstart.py`` and the README.

@@ -5,6 +5,7 @@ Examples::
     python -m repro.experiments table1
     python -m repro.experiments fig7a --scale quick
     python -m repro.experiments fig7a --systems "Natto-RECSF" "Carousel Basic"
+    python -m repro.experiments ablations --scale quick
     python -m repro.experiments all --scale bench
     python -m repro.experiments fig11 --scale full   # paper-scale (slow!)
 """
@@ -12,59 +13,18 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from typing import Callable, Dict
 
-from repro.harness import experiment as experiment_module
-from repro.experiments import (
-    ablations,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    figure14,
-    table1,
-)
+from repro.experiments import table1
+from repro.experiments.common import run_exhibit
+from repro.experiments.exhibits import EXHIBITS
+from repro.harness.systems import SYSTEM_FACTORIES
 
-EXHIBITS: Dict[str, Callable] = {
-    "ablations": lambda scale, systems, jobs: ablations.run(scale, jobs=jobs),
-    "table1": lambda scale, systems, jobs: table1.run(scale),
-    "fig7a": lambda scale, systems, jobs: figure7.run_ycsbt(
-        scale, systems, jobs=jobs
-    ),
-    "fig7c": lambda scale, systems, jobs: figure7.run_retwis(
-        scale, systems, jobs=jobs
-    ),
-    "fig7e": lambda scale, systems, jobs: figure7.run_smallbank(
-        scale, systems, jobs=jobs
-    ),
-    "fig8a": lambda scale, systems, jobs: figure8.run_ycsbt(
-        scale, systems, jobs=jobs
-    ),
-    "fig8b": lambda scale, systems, jobs: figure8.run_retwis(
-        scale, systems, jobs=jobs
-    ),
-    "fig9": lambda scale, systems, jobs: figure9.run(scale, systems, jobs=jobs),
-    "fig10": lambda scale, systems, jobs: figure10.run(
-        scale, systems, jobs=jobs
-    ),
-    "fig11": lambda scale, systems, jobs: figure11.run(
-        scale, systems, jobs=jobs
-    ),
-    "fig12": lambda scale, systems, jobs: figure12.run(
-        scale, systems, jobs=jobs
-    ),
-    "fig13": lambda scale, systems, jobs: figure13.run(
-        scale, systems, jobs=jobs
-    ),
-    "fig14": lambda scale, systems, jobs: figure14.run(
-        scale, systems, jobs=jobs
-    ),
+#: Names that run several exhibits.
+GROUPS = {
+    "ablations": [name for name in EXHIBITS if name.startswith("abl-")],
+    "all": ["table1", *EXHIBITS],
 }
 
 
@@ -75,7 +35,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "exhibit",
-        choices=sorted(EXHIBITS) + ["all"],
+        choices=["table1", *EXHIBITS, *GROUPS],
         help="which exhibit to regenerate",
     )
     parser.add_argument(
@@ -87,8 +47,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--systems",
         nargs="+",
+        choices=sorted(SYSTEM_FACTORIES),
         default=None,
-        help="restrict to a subset of systems (paper labels)",
+        metavar="SYSTEM",
+        help="restrict the figures to a subset of systems (paper "
+        "labels); the ablations always run Natto-RECSF",
     )
     parser.add_argument(
         "--trace",
@@ -107,23 +70,21 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.trace is not None:
-        # Construction-time defaults: every ExperimentSettings built
-        # after this point carries the trace config with it, so worker
-        # processes never need to see these globals.
-        experiment_module.DEFAULT_TRACING = True
-        experiment_module.TRACE_DIR = args.trace
-        os.makedirs(args.trace, exist_ok=True)
-
-    names = sorted(EXHIBITS) if args.exhibit == "all" else [args.exhibit]
-    for name in names:
+    for name in GROUPS.get(args.exhibit, [args.exhibit]):
         started = time.time()
         print(f"\n##### {name} (scale={args.scale}) #####")
-        result = EXHIBITS[name](args.scale, args.systems, args.jobs)
-        if isinstance(result, dict):
-            for value in result.values():
-                if hasattr(value, "print"):
-                    value.print()
+        if name == "table1":
+            table1.run()
+        else:
+            tables = run_exhibit(
+                EXHIBITS[name],
+                args.scale,
+                systems=None if name in GROUPS["ablations"] else args.systems,
+                jobs=args.jobs,
+                trace_dir=args.trace,
+            )
+            for table in tables.values():
+                table.print()
         print(f"##### {name} done in {time.time() - started:.0f}s #####")
     return 0
 

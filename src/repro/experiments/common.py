@@ -1,22 +1,28 @@
-"""Shared machinery for the figure modules: scales and the sweep engine.
+"""Scales, the exhibit row, and the one runner every exhibit goes through.
 
-A sweep is built as a flat list of :class:`~repro.harness.parallel.PointSpec`
-objects (one per system × x-value) and handed to
+An exhibit sweeps systems × one x-axis.  Its :class:`Exhibit` row says
+what each (system, x) point runs and which tables the results fill;
+:func:`run_exhibit` builds the points as
+:class:`~repro.harness.parallel.PointSpec` objects, applies the scale,
+seed and trace settings, and hands them to
 :func:`~repro.harness.parallel.run_points`, which fans them over worker
 processes (``jobs`` workers, default all cores) or runs them in-process
-(``jobs=1``).  Results come back in spec order, so the tables a sweep
-fills are byte-identical however many workers ran it.
+(``jobs=1``).  Results come back in spec order, so the tables are
+byte-identical however many workers ran the sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.harness.experiment import ExperimentSettings, slugify
-from repro.harness.parallel import PointSpec, WorkloadSpec, run_points
+from repro.harness.experiment import (
+    ExperimentSettings,
+    RepeatedResult,
+    slugify,
+)
+from repro.harness.parallel import PointSpec, run_points
 from repro.harness.report import SeriesTable
-from repro.txn.priority import Priority
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,7 @@ def resolve_scale(scale) -> Scale:
 def trace_label(tag: Optional[str], system_name: str, x) -> Optional[str]:
     """Trace-export stem for one sweep point.
 
-    Derived from (figure tag, system, x-value); the harness appends the
+    Derived from (exhibit tag, system, x-value); the harness appends the
     run's seed.  Unique per point by construction — no shared counter,
     so parallel workers can't collide.
     """
@@ -60,90 +66,94 @@ def trace_label(tag: Optional[str], system_name: str, x) -> Optional[str]:
     return f"{slugify(tag)}-{slugify(system_name)}-x{slugify(x)}"
 
 
-def sweep(
-    systems: Sequence[str],
-    x_values: Sequence,
-    spec_for: Callable[[str, object], PointSpec],
-    tables: Dict[str, SeriesTable],
-    extract: Dict[str, Callable[..., tuple]],
-    progress: Optional[Callable[[str], None]] = print,
-    jobs: Optional[int] = None,
-) -> None:
-    """Fill ``tables`` by sweeping every system over ``x_values``.
+@dataclass(frozen=True)
+class Table:
+    """One table an exhibit fills, titled ``"<exhibit title> — <title>"``.
 
-    ``spec_for`` maps (system label, x-value) to a
-    :class:`~repro.harness.parallel.PointSpec`; ``extract`` maps a table
-    key to a function producing ``(value, error)`` from a
-    :class:`~repro.harness.experiment.RepeatedResult` (each key must
-    exist in ``tables``).  Points run through
-    :func:`~repro.harness.parallel.run_points` with ``jobs`` workers;
-    tables fill in (system, x) order regardless of completion order.
+    ``extract`` maps a point's result to ``(value, error)``.  With a
+    ``baseline`` x-value the table reports each point's increase (%)
+    over the same series at the baseline, and every sweep starts there.
     """
-    specs = [spec_for(name, x) for name in systems for x in x_values]
-    results = run_points(specs, jobs=jobs)
-    for spec, result in zip(specs, results):
-        system_name = result.system_name
-        for key, fn in extract.items():
-            value, error = fn(result)
-            tables[key].add_point(system_name, value, error)
-        if progress is not None:
-            progress(
-                f"[{system_name} @ {spec.x}] "
-                + " ".join(
-                    f"{key}={tables[key].series[system_name][-1]:.1f}"
-                    for key in extract
-                )
-            )
+
+    key: str
+    title: str
+    extract: Callable[[RepeatedResult], tuple]
+    unit: str = "ms"
+    baseline: Any = None
 
 
-def latency_point_spec(
-    workload_spec_for: Callable[[object], WorkloadSpec],
-    rate_for: Callable[[object], float],
-    settings_for: Callable[[object], ExperimentSettings],
-    repeats: int,
+@dataclass(frozen=True)
+class Exhibit:
+    """One row of the exhibit table: a sweep of systems × one x-axis.
+
+    ``point(system, x)`` gives the point's system, rate, workload and
+    settings; :func:`run_exhibit` applies the scale, the seed and the
+    trace settings on top.
+    """
+
+    name: str
+    tag: str
+    title: str
+    x_label: str
+    x_values: tuple
+    systems: tuple
+    point: Callable[[str, Any], PointSpec]
+    tables: Tuple[Table, ...]
+
+
+def run_exhibit(
+    row: Exhibit,
+    scale,
+    systems: Optional[Sequence[str]] = None,
+    x_values: Optional[Sequence] = None,
     seed: int = 0,
-    tag: Optional[str] = None,
-) -> Callable[[str, object], PointSpec]:
-    """Build the standard ``spec_for`` used by most figures."""
-
-    def spec_for(system_name: str, x) -> PointSpec:
-        settings = settings_for(x).scaled(
-            seed=seed, trace_label=trace_label(tag, system_name, x)
-        )
-        return PointSpec(
-            system=system_name,
-            x=x,
-            input_rate=rate_for(x),
-            workload=workload_spec_for(x),
-            settings=settings,
-            repeats=repeats,
-        )
-
-    return spec_for
-
-
-def high_low_tables(
-    title: str, x_label: str, x_values: Sequence
+    jobs: Optional[int] = None,
+    trace_dir: Optional[str] = None,
 ) -> Dict[str, SeriesTable]:
-    """The common pair of tables: high-pri p95 and low-pri p95 (+goodput)."""
-    return {
-        "high": SeriesTable(
-            f"{title} — 95P latency, high-priority", x_label, x_values
-        ),
-        "low": SeriesTable(
-            f"{title} — 95P latency, low-priority", x_label, x_values
-        ),
-        "low_goodput": SeriesTable(
-            f"{title} — committed low-priority txn/s",
-            x_label,
-            x_values,
-            unit="txn/s",
-        ),
+    """Run ``row`` and return its tables by key.
+
+    ``systems`` and ``x_values`` default to the row's.  With a
+    ``trace_dir`` every run is traced and exported there.  Tables fill
+    in (system, x) order, and one progress line per point reports the
+    point's values and the transactions its runs left unfinished.
+    """
+    scale = resolve_scale(scale)
+    systems = tuple(systems or row.systems)
+    x_values = tuple(x_values or row.x_values)
+    for table in row.tables:
+        if table.baseline is not None and x_values[0] != table.baseline:
+            x_values = (table.baseline,) + x_values
+    tables = {
+        table.key: SeriesTable(
+            f"{row.title} — {table.title}", row.x_label, x_values, table.unit
+        )
+        for table in row.tables
     }
-
-
-STANDARD_EXTRACT = {
-    "high": lambda r: r.p95_high_ms(),
-    "low": lambda r: r.p95_low_ms(),
-    "low_goodput": lambda r: r.goodput(Priority.LOW),
-}
+    points = [(system, x) for system in systems for x in x_values]
+    specs = []
+    for system, x in points:
+        spec = row.point(system, x)
+        settings = scale.apply(spec.settings).scaled(
+            seed=seed,
+            trace_label=trace_label(row.tag, system, x),
+            tracing=trace_dir is not None,
+            trace_dir=trace_dir,
+        )
+        specs.append(replace(spec, settings=settings, repeats=scale.repeats))
+    for (system, x), result in zip(points, run_points(specs, jobs=jobs)):
+        cells = []
+        for table in row.tables:
+            value, error = table.extract(result)
+            tables[table.key].add_point(system, value, error)
+            if table.baseline is None:
+                cells.append(f"{table.key}={value:.1f}")
+        unfinished = sum(run.unfinished for run in result.results)
+        print(f"[{system} @ {x}] {' '.join(cells)} unfinished={unfinished}")
+    for table in row.tables:
+        if table.baseline is not None:
+            filled = tables[table.key]
+            filled.errors.clear()
+            for values in filled.series.values():
+                base = values[0]
+                values[:] = [100.0 * (v - base) / base for v in values]
+    return tables

@@ -51,7 +51,8 @@ def measure_rtt_matrix(probe_seconds: float = 1.0) -> Dict[tuple, float]:
     return measured
 
 
-def run(scale: str = "bench") -> Dict[tuple, float]:
+def run() -> Dict[tuple, float]:
+    """Print the paper's and the measured RTTs; return the measured."""
     topology = azure_topology()
     measured = measure_rtt_matrix()
     print("== Table 1: Azure inter-datacenter RTTs (ms) ==")
@@ -66,6 +67,3 @@ def run(scale: str = "bench") -> Dict[tuple, float]:
         print(f"{a+'-'+b:12s} {paper_value:8.0f} {measured[(a, b)]:9.1f}")
     return measured
 
-
-if __name__ == "__main__":
-    run()

@@ -23,7 +23,6 @@ from repro.harness.experiment import (
     RepeatedResult,
     deploy,
     run_experiment,
-    run_repeated,
     run_until_settled,
     seed_schedule,
     slugify,
@@ -53,7 +52,6 @@ __all__ = [
     "run_experiment",
     "run_point",
     "run_points",
-    "run_repeated",
     "run_until_settled",
     "seed_schedule",
     "slugify",

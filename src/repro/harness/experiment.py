@@ -19,7 +19,7 @@ Measurement follows §5.1:
 
 Simulated durations are configurable because a full 60 s x 10 repeats
 paper run is hours of host CPU; the benchmark suite uses scaled-down
-defaults and the CLI exposes ``--full`` for paper-scale runs.
+defaults and the CLI exposes ``--scale full`` for paper-scale runs.
 """
 
 from __future__ import annotations
@@ -43,20 +43,6 @@ from repro.workloads.base import Workload
 
 SystemFactory = Callable[[], TransactionSystem]
 WorkloadFactory = Callable[[np.random.Generator], Workload]
-
-#: Process-wide default for :attr:`ExperimentSettings.tracing`; the
-#: experiments CLI flips this with ``--trace DIR`` so every run in the
-#: sweep is traced without threading a flag through each figure module.
-#: Resolved into each :class:`ExperimentSettings` at construction time
-#: (in the parent process), so parallel workers never consult it.
-DEFAULT_TRACING: bool = False
-
-#: Process-wide default for :attr:`ExperimentSettings.trace_dir`, set by
-#: the CLI's ``--trace DIR``.  Like :data:`DEFAULT_TRACING` it is only a
-#: construction-time default — the resolved value travels inside the
-#: settings object to workers, which never read this global.
-TRACE_DIR: Optional[str] = None
-
 
 def seed_schedule(base_seed: int, repeats: int) -> tuple:
     """Per-repetition seeds for ``repeats`` runs of base seed ``base_seed``.
@@ -90,14 +76,11 @@ class ExperimentSettings:
     drain: float = 15.0         # cap on simulated time after load
     seed: int = 0
     #: Attach an :class:`~repro.obs.core.Observability` to the run's
-    #: simulator (spans, events, metrics).  Defaults to the module-level
-    #: :data:`DEFAULT_TRACING` so the CLI can switch whole sweeps.
-    tracing: bool = field(default_factory=lambda: DEFAULT_TRACING)
-    #: Directory for per-run trace exports when tracing is on; resolved
-    #: from the module-level :data:`TRACE_DIR` default at construction
-    #: time so the value travels with the settings into worker
-    #: processes.  ``None`` disables export.
-    trace_dir: Optional[str] = field(default_factory=lambda: TRACE_DIR)
+    #: simulator (spans, events, metrics).
+    tracing: bool = False
+    #: Directory for the run's trace export when tracing is on; ``None``
+    #: disables export.
+    trace_dir: Optional[str] = None
     #: Filename stem for this run's trace export, normally derived by
     #: the sweep machinery from (figure tag, system, x-value); the run's
     #: seed is always appended, which keeps names collision-free across
@@ -315,8 +298,7 @@ def _export_trace(
     and every repetition has a distinct seed (:func:`seed_schedule`) —
     so concurrent workers can't collide and no shared counter is
     needed.  ``makedirs(exist_ok=True)`` is atomic enough for the
-    parallel case: the first worker (or the CLI, which pre-creates the
-    directory) wins and the rest pass through.
+    parallel case: the first worker wins and the rest pass through.
     """
     stem = settings.trace_label or (
         f"{slugify(system_name)}-r{input_rate:g}"
@@ -366,27 +348,3 @@ class RepeatedResult:
     def goodput(self, priority: Optional[Priority] = None) -> tuple:
         return self._ci([r.goodput(priority) for r in self.results])
 
-
-def run_repeated(
-    system_factory: SystemFactory,
-    workload_factory: WorkloadFactory,
-    input_rate: float,
-    settings: ExperimentSettings = ExperimentSettings(),
-    repeats: int = 3,
-) -> RepeatedResult:
-    """Repeat a run with independent seeds (paper: 10 repetitions).
-
-    Per-repetition seeds come from :func:`seed_schedule`, which derives
-    a collision-free seed for every (base seed, repetition) pair.
-    """
-    results = []
-    for seed in seed_schedule(settings.seed, repeats):
-        results.append(
-            run_experiment(
-                system_factory,
-                workload_factory,
-                input_rate,
-                settings.scaled(seed=seed),
-            )
-        )
-    return RepeatedResult(results[0].system_name, input_rate, results)

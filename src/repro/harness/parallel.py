@@ -39,7 +39,8 @@ from typing import Any, Callable, List, Optional, Sequence
 from repro.harness.experiment import (
     ExperimentSettings,
     RepeatedResult,
-    run_repeated,
+    run_experiment,
+    seed_schedule,
 )
 from repro.harness.systems import make_system
 
@@ -131,31 +132,31 @@ class PointSpec:
 
 
 def run_point(spec: PointSpec) -> RepeatedResult:
-    """Run one point in-process, returning detached (transportable)
-    results.
+    """Run one point in-process: ``spec.repeats`` runs (paper: 10), each
+    with its own seed from :func:`seed_schedule`, returning detached
+    (transportable) results with their mean and 95% CI.
 
     This is both the worker entry point and the ``jobs=1`` path, so the
     two produce literally the same object graph.
     """
-    repeated = run_repeated(
-        spec.system_factory(),
-        spec.workload.factory(),
-        spec.input_rate,
-        spec.settings,
-        repeats=spec.repeats,
-    )
-    point = RepeatedResult(
-        repeated.system_name,
-        repeated.input_rate,
-        [result.detach() for result in repeated.results],
-    )
-    # The point's deployments are now reference cycles.  Simulator.run
-    # pauses the cyclic collector, so the older generations they sit in
-    # are rarely collected on their own: a process running many points
-    # held up to ~25 of them at once.
-    del repeated
-    gc.collect()
-    return point
+    system_factory = spec.system_factory()
+    workload_factory = spec.workload.factory()
+    results = []
+    for seed in seed_schedule(spec.settings.seed, spec.repeats):
+        results.append(
+            run_experiment(
+                system_factory,
+                workload_factory,
+                spec.input_rate,
+                spec.settings.scaled(seed=seed),
+            ).detach()
+        )
+        # The run's deployment is now a reference cycle.  Simulator.run
+        # pauses the cyclic collector, so the older generations it sits
+        # in are rarely collected on their own: a process running many
+        # points held up to ~25 deployments at once.
+        gc.collect()
+    return RepeatedResult(results[0].system_name, spec.input_rate, results)
 
 
 def run_points(

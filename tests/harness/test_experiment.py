@@ -8,10 +8,12 @@ import pytest
 from repro.faults import FaultInjector, FaultSchedule, blackhole
 from repro.harness import (
     ExperimentSettings,
+    PointSpec,
+    WorkloadSpec,
     deploy,
     make_system,
     run_experiment,
-    run_repeated,
+    run_point,
     run_until_settled,
 )
 from repro.harness.experiment import SETTLE_S, STEP_S
@@ -121,12 +123,15 @@ def test_different_seeds_differ():
 
 
 def test_run_repeated_aggregates_with_ci():
-    repeated = run_repeated(
-        lambda: make_system("Carousel Basic"),
-        lambda rng: YcsbTWorkload(rng, num_keys=10_000),
-        50,
-        FAST,
-        repeats=2,
+    repeated = run_point(
+        PointSpec(
+            "Carousel Basic",
+            50,
+            50,
+            WorkloadSpec.of(YcsbTWorkload, num_keys=10_000),
+            FAST,
+            repeats=2,
+        )
     )
     mean, half = repeated.p95_low_ms()
     assert mean > 0

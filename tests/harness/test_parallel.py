@@ -13,8 +13,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.experiments import EXHIBITS, run_exhibit
 from repro.experiments.common import Scale, trace_label
-from repro.experiments import figure7
 from repro.harness import parallel as parallel_module
 from repro.harness.experiment import (
     ExperimentSettings,
@@ -153,10 +153,12 @@ def test_run_points_serial_and_parallel_agree(pools_entered):
 
 
 def test_figure_sweep_tables_identical_at_any_job_count(pools_entered):
-    kwargs = dict(systems=("Carousel Basic", "Natto-RECSF"), rates=(50, 100))
-    serial = figure7.run_ycsbt(TINY, jobs=1, **kwargs)
+    kwargs = dict(
+        systems=("Carousel Basic", "Natto-RECSF"), x_values=(50, 100)
+    )
+    serial = run_exhibit(EXHIBITS["fig7a"], TINY, jobs=1, **kwargs)
     assert pools_entered == []
-    parallel = figure7.run_ycsbt(TINY, jobs=4, **kwargs)
+    parallel = run_exhibit(EXHIBITS["fig7a"], TINY, jobs=4, **kwargs)
     assert pools_entered == [2]
     assert serial.keys() == parallel.keys()
     for key in serial:
