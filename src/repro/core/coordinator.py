@@ -20,6 +20,7 @@ Extensions over the Carousel coordinator:
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
 from repro.net.payload import (
@@ -34,8 +35,33 @@ from repro.systems.carousel.coordinator import (
 )
 
 
+@dataclass
+class NattoVote:
+    """One participant's yes-vote."""
+
+    #: The read delivery the vote belongs to.
+    epoch: int
+    #: False while the vote is conditional on low-priority aborts.
+    firm: bool
+
+
+@dataclass
+class NattoCoordinatedTxn(CoordinatedTxn):
+    """Coordinator-side state of one Natto transaction attempt."""
+
+    votes: Dict[int, NattoVote] = field(default_factory=dict)
+    #: partition -> the read epoch the client's write data was computed
+    #: from; re-sent commit requests overwrite it.
+    write_epochs: Dict[int, int] = field(default_factory=dict)
+    #: Bumped per commit request; only the latest write data's
+    #: replication may let the transaction decide.
+    writes_version: int = 0
+
+
 class NattoCoordinator(CarouselCoordinator):
     """Per-datacenter coordinator with Natto's vote state machine."""
+
+    state_class = NattoCoordinatedTxn
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
@@ -50,20 +76,20 @@ class NattoCoordinator(CarouselCoordinator):
         state.client = payload.client
         state.participants = payload.participants
         state.writes = payload.writes
-        # Natto addition: which read epoch each partition's write data
-        # was computed from; re-sent commit requests overwrite it.
         state.write_epochs = payload.epochs
         if state.decided is not None:
             return
-        version = getattr(state, "writes_version", 0) + 1
-        state.writes_version = version
+        state.writes_version += 1
+        version = state.writes_version
         state.writes_replicated = False
         self.propose(("writedata", state.txn, state.writes)).add_done_callback(
             lambda _: self._writes_version_durable(state, version)
         )
 
-    def _writes_version_durable(self, state: CoordinatedTxn, version: int) -> None:
-        if getattr(state, "writes_version", 0) == version:
+    def _writes_version_durable(
+        self, state: NattoCoordinatedTxn, version: int
+    ) -> None:
+        if state.writes_version == version:
             state.writes_replicated = True
             self._try_decide(state)
 
@@ -81,11 +107,9 @@ class NattoCoordinator(CarouselCoordinator):
         if payload.vote == "no":
             self._decide(state, False)
             return
-        state.votes[payload.partition] = {
-            "epoch": payload.epoch,
-            "firm": not payload.conditional,
-            "conditional": payload.conditional,
-        }
+        state.votes[payload.partition] = NattoVote(
+            payload.epoch, not payload.conditional
+        )
         self._try_decide(state)
 
     def handle_condition_resolved(
@@ -95,24 +119,22 @@ class NattoCoordinator(CarouselCoordinator):
         if state.decided is not None:
             return
         vote = state.votes.get(payload.partition)
-        if vote is None or vote["firm"]:
+        if vote is None or vote.firm:
             return
         if payload.ok:
-            if vote["epoch"] == payload.epoch:
-                vote["firm"] = True
-                vote["conditional"] = None
+            if vote.epoch == payload.epoch:
+                vote.firm = True
                 self._try_decide(state)
         else:
             # Discard the conditional result; the participant's normal
             # path will vote again with a higher epoch.
             del state.votes[payload.partition]
 
-    def _vote_ready(self, state: CoordinatedTxn, partition: int) -> bool:
+    def _vote_ready(self, state: NattoCoordinatedTxn, partition: int) -> bool:
         vote = state.votes.get(partition)
-        if vote is None or not isinstance(vote, dict) or not vote["firm"]:
+        if vote is None or not vote.firm:
             return False
-        expected = getattr(state, "write_epochs", {}).get(partition, 0)
-        return vote["epoch"] == expected
+        return vote.epoch == state.write_epochs.get(partition, 0)
 
     # ------------------------------------------------------------------
     # RECSF

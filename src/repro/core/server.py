@@ -344,9 +344,9 @@ class NattoParticipant(RaftParticipant):
         a priority abort whose winner does not outrank its victim is a
         protocol bug, not a tuning artifact.
         """
-        obs = self.sim.obs
-        if obs.enabled:
-            obs.tracer.event(
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.event(
                 "priority_abort",
                 node=self.name,
                 txn=victim.txn,
@@ -359,13 +359,10 @@ class NattoParticipant(RaftParticipant):
     # Queue and dispatch
 
     def _enqueue(self, info: NattoTxn) -> None:
-        obs = self.sim.obs
-        if obs.enabled:
-            info.queue_span = obs.tracer.span(
+        tracer = self.sim.tracer
+        if tracer is not None:
+            info.queue_span = tracer.span(
                 "queue", node=self.name, txn=info.txn
-            )
-            obs.metrics.gauge(f"natto.queue_depth.{self.name}").set(
-                len(self.queue) + 1
             )
         # The queue is kept sorted by (ts, txn); a binary insertion is
         # O(log n) key calls where the old append+sort was O(n).  ``ts``
@@ -453,9 +450,9 @@ class NattoParticipant(RaftParticipant):
         self.stats["prepares"] += 1
         self.prepared.add(info.txn, info.reads, info.writes)
         info.state = "prepared"
-        obs = self.sim.obs
-        if obs.enabled and info.prepared_span is None:
-            info.prepared_span = obs.tracer.span(
+        tracer = self.sim.tracer
+        if tracer is not None and info.prepared_span is None:
+            info.prepared_span = tracer.span(
                 "prepared", node=self.name, txn=info.txn
             )
         self._deliver_reads(info)
@@ -525,9 +522,9 @@ class NattoParticipant(RaftParticipant):
         self.stats["conditional_prepares"] += 1
         self.prepared.add(info.txn, info.reads, info.writes)
         info.state = "cond"
-        obs = self.sim.obs
-        if obs.enabled and info.prepared_span is None:
-            info.prepared_span = obs.tracer.span(
+        tracer = self.sim.tracer
+        if tracer is not None and info.prepared_span is None:
+            info.prepared_span = tracer.span(
                 "prepared", node=self.name, txn=info.txn, conditional=True
             )
         info.condition = {b.txn for b in blocker_infos}
@@ -714,9 +711,9 @@ class NattoParticipant(RaftParticipant):
                 # Condition failed: back to the normal path with a fresh
                 # read epoch.
                 self.stats["conditions_failed"] += 1
-                obs = self.sim.obs
-                if obs.enabled:
-                    obs.tracer.event(
+                tracer = self.sim.tracer
+                if tracer is not None:
+                    tracer.event(
                         "condition_failed",
                         node=self.name,
                         txn=high.txn,

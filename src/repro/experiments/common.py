@@ -114,8 +114,9 @@ def run_exhibit(
 
     ``systems`` and ``x_values`` default to the row's.  With a
     ``trace_dir`` every run is traced and exported there.  Tables fill
-    in (system, x) order, and one progress line per point reports the
-    point's values and the transactions its runs left unfinished.
+    in (system, x) order as the points finish, and each point prints one
+    progress line then, with its values and the transactions its runs
+    left unfinished.
     """
     scale = resolve_scale(scale)
     systems = tuple(systems or row.systems)
@@ -140,7 +141,9 @@ def run_exhibit(
             trace_dir=trace_dir,
         )
         specs.append(replace(spec, settings=settings, repeats=scale.repeats))
-    for (system, x), result in zip(points, run_points(specs, jobs=jobs)):
+
+    def report(index: int, result: RepeatedResult) -> None:
+        system, x = points[index]
         cells = []
         for table in row.tables:
             value, error = table.extract(result)
@@ -148,7 +151,12 @@ def run_exhibit(
             if table.baseline is None:
                 cells.append(f"{table.key}={value:.1f}")
         unfinished = sum(run.unfinished for run in result.results)
-        print(f"[{system} @ {x}] {' '.join(cells)} unfinished={unfinished}")
+        print(
+            f"[{system} @ {x}] {' '.join(cells)} unfinished={unfinished}",
+            flush=True,
+        )
+
+    run_points(specs, jobs=jobs, progress=report)
     for table in row.tables:
         if table.baseline is not None:
             filled = tables[table.key]

@@ -33,7 +33,8 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.net.topology import Topology, azure_topology
-from repro.obs.core import Observability
+from repro.obs.export import write_jsonl
+from repro.obs.trace import Tracer
 from repro.systems.base import Cluster, SystemConfig, TransactionSystem
 from repro.sim import Simulator
 from repro.systems.client import MAX_RETRIES, ClientDriver
@@ -75,8 +76,8 @@ class ExperimentSettings:
     probe_warmup: float = 2.0   # delay-estimate warm-up before load
     drain: float = 15.0         # cap on simulated time after load
     seed: int = 0
-    #: Attach an :class:`~repro.obs.core.Observability` to the run's
-    #: simulator (spans, events, metrics).
+    #: Attach a :class:`~repro.obs.trace.Tracer` to the run's simulator
+    #: (spans and events).
     tracing: bool = False
     #: Directory for the run's trace export when tracing is on; ``None``
     #: disables export.
@@ -105,12 +106,9 @@ class ExperimentResult:
     #: The deployed system object (stores, counters) for post-hoc
     #: inspection; None after serialization.
     system: Optional[TransactionSystem] = None
-    #: The run's observability context when tracing was on (spans,
-    #: events, live metrics); None otherwise.
-    obs: Optional[Observability] = None
-    #: JSON-able metrics/trace-volume snapshot taken at the end of the
-    #: run (survives dropping ``obs``); None when tracing was off.
-    obs_snapshot: Optional[dict] = None
+    #: The run's tracer (spans and events) when tracing was on; None
+    #: otherwise and after serialization.
+    tracer: Optional[Tracer] = None
 
     def p95_ms(
         self,
@@ -137,16 +135,16 @@ class ExperimentResult:
         return self.goodput()
 
     def detach(self) -> "ExperimentResult":
-        """A transportable copy: no live ``system``/``obs`` objects.
+        """A transportable copy: no live ``system``/``tracer`` objects.
 
-        The detached result pickles cheaply (transaction records plus
-        the JSON-able ``obs_snapshot``) and still answers every metric
-        query — parallel workers ship these back to the parent, which
-        is why serial and parallel sweeps extract identical numbers.
+        The detached result pickles cheaply (the transaction records)
+        and still answers every metric query — parallel workers ship
+        these back to the parent, which is why serial and parallel
+        sweeps extract identical numbers.
         """
-        if self.system is None and self.obs is None:
+        if self.system is None and self.tracer is None:
             return self
-        return replace(self, system=None, obs=None)
+        return replace(self, system=None, tracer=None)
 
 
 def run_experiment(
@@ -162,7 +160,7 @@ def run_experiment(
     """
     system = system_factory()
     topology = settings.topology_factory()
-    obs = Observability() if settings.tracing else None
+    tracer = Tracer() if settings.tracing else None
     cluster, clients, stats = deploy(
         system,
         topology,
@@ -173,7 +171,7 @@ def run_experiment(
             for dc in topology.datacenters
             for i in range(settings.clients_per_dc)
         ],
-        obs=obs,
+        tracer=tracer,
     )
     workload = workload_factory(cluster.streams.stream("workload"))
 
@@ -192,15 +190,12 @@ def run_experiment(
     )
 
     window = (load_start + settings.trim, load_end - settings.trim)
-    snapshot = None
-    if obs is not None:
-        snapshot = obs.snapshot()
-        if settings.trace_dir is not None:
-            _export_trace(obs, system.name, settings, input_rate)
+    if tracer is not None and settings.trace_dir is not None:
+        _export_trace(tracer, system.name, settings, input_rate)
     return ExperimentResult(
         system.name, stats, window, input_rate,
         unfinished=sum(client.inflight for client in clients),
-        system=system, obs=obs, obs_snapshot=snapshot,
+        system=system, tracer=tracer,
     )
 
 
@@ -211,20 +206,20 @@ def deploy(
     seed: int,
     clients: Iterable[Tuple[str, str]],
     max_retries: int = MAX_RETRIES,
-    obs: Optional[Observability] = None,
+    tracer: Optional[Tracer] = None,
 ) -> Tuple[Cluster, List[ClientDriver], StatsCollector]:
     """Build a cluster, set ``system`` up on it, and add its clients.
 
     ``clients`` holds one ``(name, datacenter)`` pair per client.  Every
     client gets the clock ``cluster.make_clock(name)`` and reports to
     one shared :class:`StatsCollector`.  Random and clock streams are
-    keyed by name, so a name fixes a client's behaviour.  ``obs``, if
-    given, is attached before the setup, so it also sees the messages
+    keyed by name, so a name fixes a client's behaviour.  ``tracer``,
+    if given, is attached before the setup, so it also sees the messages
     the setup sends.
     """
     cluster = Cluster(topology, config, seed)
-    if obs is not None:
-        obs.attach(cluster.sim)
+    if tracer is not None:
+        tracer.attach(cluster.sim)
     system.setup(cluster)
     stats = StatsCollector()
     drivers = [
@@ -286,7 +281,7 @@ def slugify(text) -> str:
 
 
 def _export_trace(
-    obs: Observability,
+    tracer: Tracer,
     system_name: str,
     settings: ExperimentSettings,
     input_rate: float,
@@ -307,7 +302,8 @@ def _export_trace(
     path = os.path.join(
         settings.trace_dir, f"{stem}-seed{settings.seed}.trace.jsonl"
     )
-    obs.export_jsonl(
+    write_jsonl(
+        tracer,
         path,
         meta={
             "system": system_name,

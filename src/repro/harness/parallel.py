@@ -126,10 +126,6 @@ class PointSpec:
             return lambda: make_system(system)
         return system
 
-    def label(self) -> str:
-        name = self.system if isinstance(self.system, str) else "<factory>"
-        return f"{name} @ {self.x}"
-
 
 def run_point(spec: PointSpec) -> RepeatedResult:
     """Run one point in-process: ``spec.repeats`` runs (paper: 10), each
@@ -162,7 +158,7 @@ def run_point(spec: PointSpec) -> RepeatedResult:
 def run_points(
     specs: Sequence[PointSpec],
     jobs: Optional[int] = None,
-    progress: Optional[Callable[[str], None]] = None,
+    progress: Optional[Callable[[int, RepeatedResult], None]] = None,
 ) -> List[RepeatedResult]:
     """Run every spec; return results in spec order.
 
@@ -170,7 +166,9 @@ def run_points(
     preserves the serial in-process path.  The executor path submits
     every spec up front and collects in submission order, so the
     returned list — and anything built from it — is independent of
-    completion order.
+    completion order.  ``progress(index, result)`` is called as each
+    result is collected, also in spec order, so a caller can report a
+    sweep while it runs.
     """
     specs = list(specs)
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
@@ -181,18 +179,19 @@ def run_points(
     # the cores this process may actually use; ignoring either made
     # the parallel smoke sweep ~10% slower than serial.
     jobs = min(jobs, len(specs) // 2, usable_cpus())
+    results: List[RepeatedResult] = []
+
+    def collect(result: RepeatedResult) -> None:
+        if progress is not None:
+            progress(len(results), result)
+        results.append(result)
+
     if jobs <= 1 or len(specs) <= 1:
-        results = []
-        for index, spec in enumerate(specs):
-            results.append(run_point(spec))
-            if progress is not None:
-                progress(f"[{index + 1}/{len(specs)}] {spec.label()}")
+        for spec in specs:
+            collect(run_point(spec))
         return results
-    results = []
     with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
         futures = [pool.submit(run_point, spec) for spec in specs]
-        for index, (spec, future) in enumerate(zip(specs, futures)):
-            results.append(future.result())
-            if progress is not None:
-                progress(f"[{index + 1}/{len(specs)}] {spec.label()}")
+        for future in futures:
+            collect(future.result())
     return results

@@ -132,7 +132,7 @@ def _txn_tag(message: Message) -> Optional[str]:
 
     Protocol payloads carry ``"txn": "<txn_id>.<attempt>"``; replies and
     infrastructure traffic (probes, Raft internals) are untagged and get
-    no per-message span — metrics still count them.
+    no per-message span; :attr:`Network.messages_sent` counts them all.
     """
     txn = getattr(message.payload, "txn", None)
     return txn if isinstance(txn, str) else None
@@ -281,10 +281,9 @@ class Network:
             if routed is None:
                 # Blackhole: the only fault that vaporizes a packet.
                 self.messages_dropped += 1
-                obs = sim.obs
-                if obs.enabled:
-                    obs.metrics.counter("net.messages_dropped").inc()
-                    obs.tracer.event(
+                tracer = sim.tracer
+                if tracer is not None:
+                    tracer.event(
                         "drop",
                         node=message.src,
                         txn=_txn_tag(message),
@@ -301,17 +300,11 @@ class Network:
         if link.floor > arrival:
             arrival = link.floor
         link.floor = arrival
-        obs = sim.obs
-        if obs.enabled:
-            obs.metrics.counter("net.messages").inc(method=message.method)
-            obs.metrics.counter("net.bytes").inc(size)
-            obs.metrics.histogram("net.delay").observe(
-                arrival - sim.now,
-                link=f"{link.src_dc}->{link.dst_dc}",
-            )
+        tracer = sim.tracer
+        if tracer is not None:
             txn = _txn_tag(message)
             if txn is not None:
-                obs.tracer.span(
+                tracer.span(
                     f"net:{message.method}",
                     node=message.src,
                     txn=txn,

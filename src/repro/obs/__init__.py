@@ -1,52 +1,35 @@
-"""Simulation-time observability: tracing, metrics, abort taxonomy.
+"""Simulation-time observability: tracing and the abort taxonomy.
 
 The pieces:
 
 * :class:`Tracer` / :class:`Span` — structured spans and events on the
   simulated clock, forming per-transaction trace trees (client dispatch
   → network hops → Raft replication → lock/queue waits → prepare →
-  commit) — see :mod:`repro.obs.trace`;
+  commit) — see :mod:`repro.obs.trace`.  :meth:`Tracer.attach` makes a
+  tracer the simulator's ``sim.tracer``; an untraced run's is ``None``;
 * :class:`AbortReason` — the abort-reason taxonomy every abort site in
   the protocol implementations stamps on refusals and decisions;
-* :class:`MetricsRegistry` — counters, gauges and simulation-time-
-  windowed histograms (:mod:`repro.obs.metrics`);
-* :class:`Observability` — the per-run bundle attached to a simulator
-  (``sim.obs``); :data:`NULL_OBS` is the disabled default whose tracer
-  and metrics are no-ops;
 * exporters — JSONL and Chrome ``trace_event`` (Perfetto-loadable), in
   :mod:`repro.obs.export`;
 * ``python -m repro.trace`` — the trace-inspection CLI
   (:mod:`repro.obs.cli`).
+
+Counts that every run needs are kept by the layers themselves, traced or
+not: ``Simulator.events_fired``, ``Network.messages_sent``/``bytes_sent``/
+``messages_dropped``, ``TwoPLParticipant.wounds_sent``.
 """
 
 from repro.obs.abort import AbortReason, reason_value
-from repro.obs.core import NULL_OBS, Observability
 from repro.obs.export import (
     chrome_trace,
     read_jsonl,
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.metrics import (
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.trace import NULL_SPAN, NULL_TRACER, Span, TraceEvent, Tracer
+from repro.obs.trace import Span, TraceEvent, Tracer
 
 __all__ = [
     "AbortReason",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_METRICS",
-    "NULL_OBS",
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "Observability",
     "Span",
     "TraceEvent",
     "Tracer",

@@ -16,10 +16,15 @@ Abort sites call :meth:`Tracer.abort` (client-side, one per aborted
 attempt) or :meth:`Tracer.refuse` (server-side, one per refusal site),
 both stamped with an :class:`~repro.obs.abort.AbortReason`.
 
-When tracing is disabled the tracer is :data:`NULL_TRACER`: ``span``
-returns a shared no-op span and every other method is a pass — hot
-paths additionally guard on ``obs.enabled`` so disabled runs pay one
-attribute load and a branch per site.
+A run is traced when a tracer is attached to its simulator
+(:meth:`Tracer.attach`); an untraced run's ``sim.tracer`` is ``None``.
+Every instrumented site reads ``tracer = self.sim.tracer`` and records
+only ``if tracer is not None``, so an untraced run pays one attribute
+load and a branch per site::
+
+    tracer = self.sim.tracer
+    if tracer is not None:
+        span = tracer.span("prepare", node=self.name, txn=txn)
 """
 
 from __future__ import annotations
@@ -77,36 +82,6 @@ class Span:
         self.finish()
 
 
-class _NullSpan:
-    """Shared no-op span returned by the disabled tracer."""
-
-    __slots__ = ()
-    span_id = -1
-    parent_id = None
-    name = "null"
-    node = None
-    txn = None
-    start = 0.0
-    end = 0.0
-    attrs: Dict[str, Any] = {}
-    finished = True
-
-    def set(self, **attrs: Any) -> "_NullSpan":
-        return self
-
-    def finish(self, at: Optional[float] = None) -> None:
-        pass
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
-NULL_SPAN = _NullSpan()
-
-
 class TraceEvent:
     """A point-in-time record (aborts, drops, wounds, ...)."""
 
@@ -130,16 +105,17 @@ class TraceEvent:
 class Tracer:
     """Collects spans and events for one run."""
 
-    enabled = True
-
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock = clock or (lambda: 0.0)
         self._next_id = 0
         self.spans: List[Span] = []
         self.events: List[TraceEvent] = []
 
-    def attach_clock(self, clock: Callable[[], float]) -> None:
-        self._clock = clock
+    def attach(self, sim) -> "Tracer":
+        """Trace ``sim``'s run: become ``sim.tracer`` and read its clock."""
+        sim.tracer = self
+        self._clock = lambda: sim.now
+        return self
 
     def span(
         self,
@@ -212,29 +188,3 @@ class Tracer:
         several partitions can collect several)."""
         self.event("refuse", node=node, txn=txn,
                    reason=reason_value(reason), **attrs)
-
-
-class NullTracer:
-    """Disabled tracer: allocation-free no-ops."""
-
-    enabled = False
-    spans: List[Span] = []
-    events: List[TraceEvent] = []
-
-    def attach_clock(self, clock) -> None:
-        pass
-
-    def span(self, name: str, **kwargs: Any) -> _NullSpan:
-        return NULL_SPAN
-
-    def event(self, name: str, **kwargs: Any) -> None:
-        pass
-
-    def abort(self, reason, **kwargs: Any) -> None:
-        pass
-
-    def refuse(self, reason, **kwargs: Any) -> None:
-        pass
-
-
-NULL_TRACER = NullTracer()

@@ -157,8 +157,8 @@ class RaftReplica(Node):
             heappush(self._pending_indexes, index)
         else:
             self._fail_proposal(stale, index)
-        obs = self.sim.obs
-        if obs.enabled:
+        tracer = self.sim.tracer
+        if tracer is not None:
             # Payloads are ("<kind>", "<txn attempt id>", ...) tuples.
             kind = str(payload[0]) if isinstance(payload, tuple) and payload else "?"
             txn = (
@@ -168,21 +168,14 @@ class RaftReplica(Node):
                 and isinstance(payload[1], str)
                 else None
             )
-            obs.metrics.counter("raft.appends").inc(kind=kind)
-            span = obs.tracer.span(
+            span = tracer.span(
                 "raft:replicate", node=self.name, txn=txn, kind=kind, index=index
             )
-            latency = obs.metrics.histogram("raft.commit_latency")
-            started = self.sim.now
-
-            def _committed(f, kind=kind) -> None:
-                span.finish()
-                if f.exception is None:
-                    latency.observe(self.sim.now - started, kind=kind)
-
-            # Registered before any chance of resolution so the no-peer
-            # immediate-commit path still records (fires synchronously).
-            future.add_done_callback(_committed)
+            # The span ends when the entry commits (or its proposal
+            # fails), so its length is the commit wait.  Registered before
+            # any chance of resolution so the no-peer immediate-commit
+            # path still records (fires synchronously).
+            future.add_done_callback(lambda _f: span.finish())
         if not self.peers:
             self._advance_commit()
         else:

@@ -27,9 +27,10 @@ Design notes
   derived from the sequence counter, the heap length and the count of
   cancelled entries removed, which only cancellation and compaction
   touch.
-* ``sim.obs`` is the run's :class:`~repro.obs.core.Observability` bundle
-  (default: the disabled :data:`~repro.obs.core.NULL_OBS`); instrumented
-  components guard on ``sim.obs.enabled``.
+* ``sim.tracer`` is the run's :class:`~repro.obs.trace.Tracer`, or
+  ``None`` (the default) in an untraced run; instrumented components
+  record spans and events only when it is set.  The kernel itself records
+  nothing and does not import :mod:`repro.obs`.
 * :meth:`Simulator.run` pauses CPython's cyclic garbage collector.  A
   run's live heap (Raft logs, pending proposals, transaction records,
   store versions) only grows, and every collection of the older
@@ -63,10 +64,12 @@ from __future__ import annotations
 import gc
 import heapq
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional
 
-from repro.obs.core import NULL_OBS, Observability
 from repro.sim.future import Future
+
+if TYPE_CHECKING:
+    from repro.obs.trace import Tracer
 
 
 class SimulationError(Exception):
@@ -194,7 +197,8 @@ class Simulator:
         self._cancelled_in_heap = 0
         #: Cancelled entries that left the heap, popped or compacted.
         self._cancelled_removed = 0
-        self.obs: Observability = NULL_OBS
+        #: The run's tracer; set by :meth:`repro.obs.trace.Tracer.attach`.
+        self.tracer: Optional[Tracer] = None
 
     @property
     def now(self) -> float:
@@ -324,19 +328,11 @@ class Simulator:
 
         The cyclic garbage collector is paused for the call; see the
         module notes.
-
-        With ``obs`` enabled, every return (also one where a callback
-        raised) adds the events this call fired to the
-        ``sim.events_fired`` counter and sets the ``sim.heap_depth``
-        gauge to :attr:`pending_events`.  The gauge is thus sampled once
-        per ``run`` call, not per event.
         """
         self._stopped = False
         gc_paused = gc.isenabled()
         if gc_paused:
             gc.disable()
-        obs = self.obs if self.obs.enabled else None
-        fired_before = self.events_fired
         # The innermost loop of every experiment: locals for the heap
         # and pop, an infinite sentinel instead of a None check per
         # event, and a single type test to split Timer entries (which
@@ -367,11 +363,5 @@ class Simulator:
         finally:
             if gc_paused:
                 gc.enable()
-            if obs is not None:
-                metrics = obs.metrics
-                metrics.counter("sim.events_fired").inc(
-                    self.events_fired - fired_before
-                )
-                metrics.gauge("sim.heap_depth").set(self.pending_events)
         if until is not None and not self._stopped and self._now < until:
             self._now = until

@@ -299,9 +299,9 @@ class RaftParticipant(ProbeTargetMixin, RaftReplica):
 
     def _refusal(self, txn: str, reason: Any) -> Refusal:
         """A classified ``ok: False`` reply, traced as a refusal."""
-        obs = self.sim.obs
-        if obs.enabled:
-            obs.tracer.refuse(reason, node=self.name, txn=txn)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.refuse(reason, node=self.name, txn=txn)
         return Refusal(reason_value(reason))
 
     def _vote_no(self, request: Any, reason: Any) -> None:

@@ -56,6 +56,9 @@ class CarouselCoordinator(ProbeTargetMixin, RaftReplica):
     """Leader (and follower) replica of one per-datacenter coordinator
     group."""
 
+    #: The per-attempt state record; Natto's adds vote epochs.
+    state_class = CoordinatedTxn
+
     def __init__(
         self,
         *args: Any,
@@ -71,7 +74,7 @@ class CarouselCoordinator(ProbeTargetMixin, RaftReplica):
     def txn_state(self, txn: str) -> CoordinatedTxn:
         state = self.txns.get(txn)
         if state is None:
-            state = CoordinatedTxn(txn)
+            state = self.state_class(txn)
             self.txns[txn] = state
         return state
 
@@ -146,18 +149,14 @@ class CarouselCoordinator(ProbeTargetMixin, RaftReplica):
 
     def _decide(self, state: CoordinatedTxn, committed: bool) -> None:
         state.decided = committed
-        obs = self.sim.obs
-        if obs.enabled:
-            obs.metrics.counter("coord.decisions").inc(
-                committed=committed, node=self.name
+        tracer = self.sim.tracer
+        if tracer is not None and not committed:
+            tracer.event(
+                "decision_abort",
+                node=self.name,
+                txn=state.txn,
+                reason=reason_value(state.abort_reason),
             )
-            if not committed:
-                obs.tracer.event(
-                    "decision_abort",
-                    node=self.name,
-                    txn=state.txn,
-                    reason=reason_value(state.abort_reason),
-                )
         reason = state.abort_reason
         if state.client is not None:
             if not committed and reason is not None:

@@ -155,10 +155,10 @@ class ClientDriver(Node):
         self.inflight += 1
         # Systems that need a retry-stable age (wound-wait) read this.
         self.txn_start_times[spec.txn_id] = start
-        obs = self.sim.obs
+        tracer = self.sim.tracer
         root = None
-        if obs.enabled:
-            root = obs.tracer.span(
+        if tracer is not None:
+            root = tracer.span(
                 "txn",
                 node=self.name,
                 txn=spec.txn_id,
@@ -171,8 +171,8 @@ class ClientDriver(Node):
         while True:
             aid = attempt_id(spec, attempt)
             attempt_span = None
-            if obs.enabled:
-                attempt_span = obs.tracer.span(
+            if tracer is not None:
+                attempt_span = tracer.span(
                     "attempt", node=self.name, txn=aid, parent=root
                 )
             current = Attempt(aid, attempt)
@@ -191,8 +191,8 @@ class ClientDriver(Node):
                 # abort accounting: one reason per failed attempt,
                 # UNKNOWN when no site classified it.
                 abort_reasons.append(reason_value(reason))
-                if obs.enabled:
-                    obs.tracer.abort(reason, node=self.name, txn=aid)
+                if tracer is not None:
+                    tracer.abort(reason, node=self.name, txn=aid)
             if committed or attempt >= self.max_retries:
                 break
             attempt += 1

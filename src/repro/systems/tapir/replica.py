@@ -75,9 +75,9 @@ class TapirReplica(Node):
         return TAPIR_VOTE_OK
 
     def _abort_vote(self, txn: str, reason: AbortReason) -> TapirVoteAbort:
-        obs = self.sim.obs
-        if obs.enabled:
-            obs.tracer.refuse(reason, node=self.name, txn=txn)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.refuse(reason, node=self.name, txn=txn)
         return TapirVoteAbort(str(reason))
 
     def handle_tapir_finalize(

@@ -79,9 +79,9 @@ class TwoPLParticipant(RaftParticipant):
             "reads": reads,
             "reply": reply,
         }
-        obs = self.sim.obs
-        if obs.enabled:
-            self.txn_meta[txn]["lock_span"] = obs.tracer.span(
+        tracer = self.sim.tracer
+        if tracer is not None:
+            self.txn_meta[txn]["lock_span"] = tracer.span(
                 "lock_wait", node=self.name, txn=txn
             )
         request = LockRequest(
@@ -120,13 +120,12 @@ class TwoPLParticipant(RaftParticipant):
             infos.append(
                 BlockerInfo(blocker, meta["timestamp"], meta["priority"])
             )
-        obs = self.sim.obs
+        tracer = self.sim.tracer
         for victim in self.policy.victims(request, infos, self.locks):
             self._wounded.add(victim)
             self.wounds_sent += 1
-            if obs.enabled:
-                obs.metrics.counter("twopl.wounds").inc()
-                obs.tracer.event(
+            if tracer is not None:
+                tracer.event(
                     "wound",
                     node=self.name,
                     txn=victim,

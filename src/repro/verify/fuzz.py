@@ -28,7 +28,7 @@ from repro.faults.schedule import FaultEvent
 from repro.harness.experiment import deploy, run_until_settled
 from repro.harness.systems import make_system
 from repro.net.topology import azure_topology
-from repro.obs import Observability
+from repro.obs.trace import Tracer
 from repro.systems.base import SystemConfig
 from repro.txn.priority import Priority
 from repro.verify.fingerprint import fingerprint_records
@@ -210,7 +210,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
     )
 
     enable_history(system)
-    obs = Observability(enabled=True).attach(cluster.sim)
+    tracer = Tracer().attach(cluster.sim)
 
     followers, leaders, replicas = _fault_targets(system)
     schedule = spec.schedule
@@ -288,7 +288,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
             stats.records,
             trace,
             sessions=sessions,
-            tracer=obs.tracer,
+            tracer=tracer,
         )
     )
     report.checks_run.append("serializability")

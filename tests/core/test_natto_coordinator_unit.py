@@ -194,4 +194,4 @@ def test_rereplication_on_updated_writes():
     vote(coord, "t1", 1, epoch=1)
     sim.run(until=2.0)
     assert decisions(client)[-1].committed is True
-    assert getattr(coord.txn_state("t1"), "writes_version", 0) == 2
+    assert coord.txn_state("t1").writes_version == 2

@@ -8,6 +8,7 @@ from repro.experiments import EXHIBITS, Exhibit, Table, common, run_exhibit
 from repro.experiments.common import Scale
 from repro.experiments.exhibits import fig14_point
 from repro.harness.experiment import RepeatedResult
+from repro.harness import parallel
 from repro.harness.parallel import PointSpec, WorkloadSpec
 from repro.workloads import YcsbTWorkload
 
@@ -40,7 +41,7 @@ def test_traced_sweep_writes_one_file_per_point(tmp_path):
 def test_every_point_gets_the_scale_seed_and_trace_settings(monkeypatch):
     specs = []
 
-    def run_points(batch, jobs=None):
+    def run_points(batch, jobs=None, progress=None):
         specs.extend(batch)
         return [RepeatedResult(s.system, s.input_rate, []) for s in batch]
 
@@ -84,6 +85,24 @@ def test_progress_reports_unfinished_transactions(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1].startswith("[2PL+2PC @ 80] high=")
     assert lines[-1].endswith(" unfinished=138")
+
+
+def test_progress_line_is_printed_before_the_next_point_runs(
+    monkeypatch, capsys
+):
+    printed_before = []
+
+    def run_point(spec):
+        printed_before.append(capsys.readouterr().out)
+        return RepeatedResult(spec.system, spec.input_rate, [])
+
+    monkeypatch.setattr(parallel, "run_point", run_point)
+    run_exhibit(
+        EXHIBITS["fig9"], TINY, systems=("TAPIR",), x_values=(10, 40), jobs=1
+    )
+    assert printed_before[0] == ""
+    assert printed_before[1].startswith("[TAPIR @ 10] ")
+    assert capsys.readouterr().out.startswith("[TAPIR @ 40] ")
 
 
 def test_baseline_table_starts_every_sweep_at_its_baseline():

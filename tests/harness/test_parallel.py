@@ -98,10 +98,10 @@ def test_detached_result_pickles_and_preserves_metrics():
     assert clone.p95_high_ms() == repeated.p95_high_ms()
     assert clone.p95_low_ms() == repeated.p95_low_ms()
     assert clone.goodput() == repeated.goodput()
-    # detach() dropped the live system and observability hooks.
+    # detach() dropped the live system and tracer.
     for result in repeated.results:
         assert result.system is None
-        assert result.obs is None
+        assert result.tracer is None
 
 
 def test_run_point_frees_its_deployment():

@@ -1,80 +1,22 @@
-"""Unit tests for the tracer, metrics registry and exporters."""
+"""Unit tests for the tracer and exporters."""
 
 import json
-import math
+import os
+import subprocess
+import sys
 
-from repro.obs import (
-    NULL_OBS,
-    AbortReason,
-    MetricsRegistry,
-    Observability,
-    Tracer,
-    reason_value,
-)
+import repro
+
+from repro.obs import AbortReason, Tracer, reason_value
 from repro.obs.export import (
     chrome_trace,
     parse_jsonl_lines,
     jsonl_lines,
     read_jsonl,
+    write_chrome_trace,
     write_jsonl,
 )
 from repro.sim import Simulator
-
-
-# ----------------------------------------------------------------------
-# Metrics
-
-
-def test_counter_totals_and_labels():
-    registry = MetricsRegistry()
-    counter = registry.counter("net.messages")
-    counter.inc()
-    counter.inc(2.0, method="vote")
-    counter.inc(method="vote")
-    assert counter.value == 4.0
-    assert counter.labeled() == {"method=vote": 3.0}
-    assert registry.counter("net.messages") is counter
-
-
-def test_gauge_tracks_max():
-    gauge = MetricsRegistry().gauge("depth")
-    gauge.set(3.0)
-    gauge.inc()
-    gauge.dec(2.0)
-    assert gauge.value == 2.0
-    assert gauge.max_value == 4.0
-
-
-def test_histogram_windows_on_sim_time():
-    registry = MetricsRegistry()
-    histogram = registry.histogram("latency")
-    histogram.observe(10.0, at=1.0)
-    histogram.observe(20.0, at=5.0)
-    histogram.observe(30.0, at=9.0)
-    assert histogram.count == 3
-    assert histogram.mean() == 20.0
-    assert histogram.mean(window=(4.0, 10.0)) == 25.0
-    assert math.isnan(histogram.mean(window=(100.0, 200.0)))
-
-
-def test_histogram_labels_split_series():
-    histogram = MetricsRegistry().histogram("delay")
-    histogram.observe(1.0, at=0.0, link="a->b")
-    histogram.observe(9.0, at=0.0, link="b->a")
-    assert histogram.labels() == ["link=a->b", "link=b->a"]
-    assert histogram.mean(label="link=a->b") == 1.0
-
-
-def test_registry_snapshot_is_jsonable():
-    registry = MetricsRegistry()
-    registry.counter("c").inc()
-    registry.gauge("g").set(2.0)
-    registry.histogram("h").observe(1.0, at=0.0)
-    snapshot = registry.snapshot()
-    assert snapshot["c"]["value"] == 1.0
-    assert snapshot["g"]["max"] == 2.0
-    assert snapshot["h"]["count"] == 1
-    json.dumps(snapshot)  # must not raise
 
 
 # ----------------------------------------------------------------------
@@ -82,9 +24,8 @@ def test_registry_snapshot_is_jsonable():
 
 
 def test_span_tree_and_clock():
-    tracer = Tracer()
     now = [0.0]
-    tracer.attach_clock(lambda: now[0])
+    tracer = Tracer(clock=lambda: now[0])
     root = tracer.span("txn", node="client", txn="t1")
     now[0] = 1.0
     child = tracer.span("attempt", node="client", txn="t1.0", parent=root)
@@ -118,41 +59,36 @@ def test_reason_value_normalizes():
 
 
 # ----------------------------------------------------------------------
-# Null objects and attachment
-
-
-def test_null_obs_is_inert():
-    assert not NULL_OBS.enabled
-    span = NULL_OBS.tracer.span("anything", node="n", txn="t")
-    span.set(foo=1).finish()
-    NULL_OBS.tracer.abort("X", txn="t")
-    NULL_OBS.metrics.counter("c").inc()
-    NULL_OBS.metrics.histogram("h").observe(1.0)
-    assert NULL_OBS.metrics.snapshot() == {}
-    assert NULL_OBS.tracer.spans == []
+# Attachment
 
 
 def test_simulator_defaults_to_null_obs():
-    assert Simulator().obs is NULL_OBS
+    assert Simulator().tracer is None
+
+
+def test_simulator_loads_without_repro_obs():
+    # An untraced run needs no tracing code: the kernel only names the
+    # Tracer type for annotations.
+    code = (
+        "import sys, repro.sim; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.obs')))"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_attach_binds_sim_clock():
     sim = Simulator()
-    obs = Observability().attach(sim)
-    assert sim.obs is obs
-    sim.schedule(2.5, lambda: obs.tracer.span("s").finish())
+    tracer = Tracer().attach(sim)
+    assert sim.tracer is tracer
+    sim.schedule(2.5, lambda: tracer.span("s").finish())
     sim.run()
-    span = obs.tracer.spans[0]
+    span = tracer.spans[0]
     assert span.start == 2.5 and span.end == 2.5
-
-
-def test_kernel_metrics_when_enabled():
-    sim = Simulator()
-    obs = Observability().attach(sim)
-    for i in range(5):
-        sim.schedule(float(i + 1), lambda: None)
-    sim.run()
-    assert obs.metrics.counter("sim.events_fired").value == 5.0
 
 
 # ----------------------------------------------------------------------
@@ -160,9 +96,8 @@ def test_kernel_metrics_when_enabled():
 
 
 def _traced_run():
-    tracer = Tracer()
     now = [0.0]
-    tracer.attach_clock(lambda: now[0])
+    tracer = Tracer(clock=lambda: now[0])
     root = tracer.span("txn", node="client", txn="t1", priority="HIGH")
     attempt = tracer.span("attempt", node="client", txn="t1.0", parent=root)
     now[0] = 0.5
@@ -216,15 +151,13 @@ def test_chrome_trace_shape():
 
 def test_export_via_observability(tmp_path):
     sim = Simulator()
-    obs = Observability().attach(sim)
-    sim.schedule(1.0, lambda: obs.tracer.span("s", node="n").finish())
+    tracer = Tracer().attach(sim)
+    sim.schedule(1.0, lambda: tracer.span("s", node="n").finish())
     sim.run()
     jsonl_path = str(tmp_path / "t.jsonl")
     chrome_path = str(tmp_path / "t.json")
-    obs.export_jsonl(jsonl_path)
-    obs.export_chrome_trace(chrome_path)
-    assert read_jsonl(jsonl_path)
+    write_jsonl(tracer, jsonl_path)
+    write_chrome_trace(tracer, chrome_path)
+    assert [r["type"] for r in read_jsonl(jsonl_path)] == ["span"]
     with open(chrome_path) as fh:
         assert json.load(fh)["traceEvents"]
-    snapshot = obs.snapshot()
-    assert snapshot["spans"] == 1

@@ -16,7 +16,7 @@ import pytest
 
 from repro.harness import ExperimentSettings, make_system, run_experiment
 from repro.obs.cli import main as trace_main
-from repro.obs.export import read_jsonl
+from repro.obs.export import read_jsonl, write_jsonl
 from repro.workloads import YcsbTWorkload
 
 #: System -> drain cap (s).  Within a 4 s cap 2PL+2PC(P) finishes only
@@ -50,8 +50,8 @@ def traced_result(request):
 @pytest.fixture(scope="module")
 def trace_records(traced_result, tmp_path_factory):
     path = str(tmp_path_factory.mktemp("trace") / "run.trace.jsonl")
-    traced_result.obs.export_jsonl(
-        path, meta={"system": traced_result.system_name}
+    write_jsonl(
+        traced_result.tracer, path, meta={"system": traced_result.system_name}
     )
     return path, read_jsonl(path)
 
@@ -62,12 +62,18 @@ def _root_txn(txn):
 
 
 def test_run_produced_spans_and_snapshot(traced_result):
-    assert traced_result.obs is not None
-    assert traced_result.obs_snapshot["spans"] > 0
-    metrics = traced_result.obs_snapshot["metrics"]
-    assert metrics["net.messages"]["value"] > 0
-    assert metrics["raft.appends"]["value"] > 0
-    assert metrics["sim.events_fired"]["value"] > 0
+    tracer = traced_result.tracer
+    assert tracer is not None
+    assert any(span.name == "raft:replicate" for span in tracer.spans)
+    system = traced_result.system
+    assert system.cluster.network.messages_sent > 0
+    assert system.cluster.sim.events_fired > 0
+    if traced_result.system_name == "2PL+2PC(P)":
+        wounds = [event for event in tracer.events if event.name == "wound"]
+        assert wounds
+        assert len(wounds) == sum(
+            group.leader.wounds_sent for group in system.groups.values()
+        )
     # Not ``committed_per_second``: 2PL+2PC(P)'s few commits fall
     # outside the trimmed window.
     assert any(record.committed for record in traced_result.stats.records)

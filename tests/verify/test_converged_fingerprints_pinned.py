@@ -11,6 +11,9 @@ failure message prints.
 
 Natto-PA and Natto-CP share a digest here: conditional prepare never
 fires at this point, so CP behaves exactly like PA.
+
+Every system also runs traced (ids ending in ``-traced``) and must match
+the same pin: recording spans and events changes no decision.
 """
 
 import json
@@ -35,14 +38,22 @@ CONVERGED_SCALE = Scale(
 
 EXPECTED = json.loads(PATH.read_text())
 
+CASES = [
+    pytest.param(system, tracing, id=f"{system}-traced" if tracing else system)
+    for tracing in (False, True)
+    for system in sorted(SYSTEM_FACTORIES)
+]
+
 
 def test_every_registered_system_is_pinned():
     assert set(EXPECTED) == set(SYSTEM_FACTORIES)
 
 
-@pytest.mark.parametrize("system", sorted(SYSTEM_FACTORIES))
-def test_converged_fingerprint_matches_pinned(system):
-    settings = CONVERGED_SCALE.apply(ExperimentSettings()).scaled(seed=0)
+@pytest.mark.parametrize("system, tracing", CASES)
+def test_converged_fingerprint_matches_pinned(system, tracing):
+    settings = CONVERGED_SCALE.apply(ExperimentSettings()).scaled(
+        seed=0, tracing=tracing
+    )
     spec = PointSpec(
         system=system,
         x=CONVERGED_RATE,
