@@ -19,6 +19,13 @@ How the pieces fit:
   3. the dependency graph — ww edges along each chain, wr edges from
      writer to reader, rw anti-dependency edges from reader to the
      next writer — is acyclic (conflict-serializability).
+
+The graph is a plain successor map, :data:`Graph`:
+``{txn: {successor: (kind, key)}}``, where ``kind`` is ``"ww"``,
+``"wr"`` or ``"rw"`` and ``key`` is the key the dependency is on. Every
+committed transaction is a node, even one without edges.
+:func:`find_cycle` walks it with an iterative depth-first search, so a
+long dependency chain cannot hit Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -26,14 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.store.kv import KeyValueStore
 from repro.txn.priority import Priority
 from repro.txn.transaction import TransactionSpec
 
 #: Writer id used for a key's initial (never-written) version.
 INITIAL = "<initial>"
+
+#: Dependency graph: txn -> {successor: (kind, key)}.
+Graph = Dict[str, Dict[str, Tuple[str, str]]]
 
 
 class SerializationViolation(AssertionError):
@@ -119,7 +127,9 @@ class SerializabilityChecker:
         """
         self._stores = stores
         self._trace = trace
-        self._committed = set(committed)
+        # Ordered, so the graph and any violation message do not depend
+        # on the hash seed.
+        self._committed = dict.fromkeys(committed)
         self._strip = strip_attempt_suffix
 
     # ------------------------------------------------------------------
@@ -136,15 +146,26 @@ class SerializabilityChecker:
                 return [self._normalize(v.writer) for v in store.history[key]]
         return []
 
-    def check(self) -> nx.DiGraph:
-        """Run all checks; raises :class:`SerializationViolation`."""
+    def check(self) -> Graph:
+        """Run all checks; raises :class:`SerializationViolation`.
+
+        Returns the dependency graph as a successor map,
+        ``{txn: {successor: (kind, key)}}``: ``"ww"`` from a key's writer
+        to the next writer in its chain, ``"wr"`` from a writer to a
+        reader of its value, ``"rw"`` from a reader to the writer that
+        overwrote the version it read. Every committed transaction is a
+        key. A violation's message lists a cycle's edges in order.
+        """
         self._check_writes_installed()
         self._check_reads_exist()
         graph = self._build_graph()
-        if not nx.is_directed_acyclic_graph(graph):
-            cycle = nx.find_cycle(graph)
+        cycle = find_cycle(graph)
+        if cycle is not None:
+            edges = ", ".join(
+                f"{u} -{kind}({key!r})-> {v}" for u, v, kind, key in cycle
+            )
             raise SerializationViolation(
-                f"dependency cycle in committed history: {cycle}"
+                f"dependency cycle in committed history: {edges}"
             )
         return graph
 
@@ -179,18 +200,23 @@ class SerializabilityChecker:
                         "committed a write to it"
                     )
 
-    def _build_graph(self) -> nx.DiGraph:
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._committed)
+    def _build_graph(self) -> Graph:
+        graph: Graph = {txn_id: {} for txn_id in self._committed}
+
+        def add_edge(u: str, v: str, kind: str, key: str) -> None:
+            graph.setdefault(u, {})[v] = (kind, key)
+            graph.setdefault(v, {})
+
         # ww edges: version order along each chain.
-        keys = set()
-        for txn_id, (reads, writes) in self._committed_executions():
-            keys.update(reads)
-            keys.update(writes)
+        keys = dict.fromkeys(
+            key
+            for _, (reads, writes) in self._committed_executions()
+            for key in (*reads, *writes)
+        )
         for key in keys:
             chain = self.key_chain(key)
             for earlier, later in zip(chain, chain[1:]):
-                graph.add_edge(earlier, later, kind="ww", key=key)
+                add_edge(earlier, later, "ww", key)
         # wr and rw edges.
         for txn_id, (reads, _) in self._committed_executions():
             for key, value in reads.items():
@@ -199,13 +225,46 @@ class SerializabilityChecker:
                 if writer == INITIAL:
                     # Anti-dependency to the first writer, if any.
                     if chain and chain[0] != txn_id:
-                        graph.add_edge(txn_id, chain[0], kind="rw", key=key)
+                        add_edge(txn_id, chain[0], "rw", key)
                     continue
                 if writer != txn_id:
-                    graph.add_edge(writer, txn_id, kind="wr", key=key)
+                    add_edge(writer, txn_id, "wr", key)
                 index = chain.index(writer)
                 if index + 1 < len(chain) and chain[index + 1] != txn_id:
-                    graph.add_edge(
-                        txn_id, chain[index + 1], kind="rw", key=key
-                    )
+                    add_edge(txn_id, chain[index + 1], "rw", key)
         return graph
+
+
+def find_cycle(graph: Graph) -> Optional[List[Tuple[str, str, str, str]]]:
+    """One cycle of ``graph`` as its edges ``(u, v, kind, key)`` in
+    order, or ``None`` if the graph is acyclic.
+
+    Iterative three-colour depth-first search: a node is absent (white),
+    on the current path (grey) or finished (black); an edge into a grey
+    node closes a cycle. Every successor must itself be a key of
+    ``graph``.
+    """
+    finished: Dict[str, bool] = {}  # False: on the path; True: done
+    for root in graph:
+        if root in finished:
+            continue
+        finished[root] = False
+        path = [root]
+        successors = [iter(graph[root])]
+        while successors:
+            for node in successors[-1]:
+                state = finished.get(node)
+                if state is None:
+                    finished[node] = False
+                    path.append(node)
+                    successors.append(iter(graph[node]))
+                    break
+                if state is False:
+                    cycle = path[path.index(node):] + [node]
+                    return [
+                        (u, v) + graph[u][v] for u, v in zip(cycle, cycle[1:])
+                    ]
+            else:
+                finished[path.pop()] = True
+                successors.pop()
+    return None

@@ -8,7 +8,7 @@ from repro.verify import (
     SerializabilityChecker,
     SerializationViolation,
 )
-from repro.verify.history import INITIAL, writer_of_value
+from repro.verify.history import INITIAL, find_cycle, writer_of_value
 
 
 def make_store():
@@ -29,7 +29,7 @@ def test_clean_serial_history_passes():
     store.apply("k", "t2@k", "t2.0")
     trace.record("t2", {"k": "t1@k"}, {"k": "t2@k"})
     graph = SerializabilityChecker({"p": store}, trace, ["t1", "t2"]).check()
-    assert graph.has_edge("t1", "t2")
+    assert "t2" in graph["t1"]
 
 
 def test_lost_update_detected():
@@ -108,6 +108,90 @@ def test_reads_of_own_writes_do_not_self_loop():
     store.apply("k", "t1@k", "t1.0")
     trace.record("t1", {"k": "init:k"}, {"k": "t1@k"})
     graph = SerializabilityChecker({"p": store}, trace, ["t1"]).check()
-    assert not list(graph.edges("t1", data=True)) or all(
-        u != v for u, v in graph.edges()
+    assert all(u not in successors for u, successors in graph.items())
+
+
+# ----------------------------------------------------------------------
+# The cycle search on hand-built successor maps.
+
+
+def test_two_cycle_is_found():
+    graph = {"a": {"b": ("ww", "k")}, "b": {"a": ("rw", "k")}}
+    assert find_cycle(graph) == [("a", "b", "ww", "k"), ("b", "a", "rw", "k")]
+
+
+def test_acyclic_diamond_has_no_cycle():
+    graph = {
+        "a": {"b": ("ww", "x"), "c": ("wr", "y")},
+        "b": {"d": ("rw", "x")},
+        "c": {"d": ("ww", "y")},
+        "d": {},
+    }
+    assert find_cycle(graph) is None
+
+
+def test_cycle_behind_a_finished_branch_is_found():
+    # The search finishes the acyclic branch a -> b first, then must
+    # still find the cycle c -> d -> c that is reachable from a.
+    graph = {
+        "a": {"b": ("ww", "k"), "c": ("ww", "k")},
+        "b": {},
+        "c": {"d": ("wr", "k")},
+        "d": {"c": ("rw", "k")},
+    }
+    assert find_cycle(graph) == [("c", "d", "wr", "k"), ("d", "c", "rw", "k")]
+
+
+def test_long_chain_needs_no_recursion():
+    n = 10_000
+    graph = {f"t{i}": {f"t{i + 1}": ("ww", "k")} for i in range(n - 1)}
+    graph[f"t{n - 1}"] = {}
+    assert find_cycle(graph) is None
+    graph[f"t{n - 1}"] = {"t0": ("rw", "k")}
+    cycle = find_cycle(graph)
+    assert len(cycle) == n
+    assert cycle[0] == ("t0", "t1", "ww", "k")
+    assert cycle[-1] == (f"t{n - 1}", "t0", "rw", "k")
+
+
+def test_three_cycle_violation_names_its_edges_in_order():
+    """t1 -ww-> t2 on a, t2 -wr-> t3 on b, t3 -rw-> t1 on c."""
+    store = make_store()
+    trace = ExecutionTrace()
+    store.apply("a", "t1@a", "t1.0")
+    store.apply("c", "t1@c", "t1.0")
+    store.apply("a", "t2@a", "t2.0")
+    store.apply("b", "t2@b", "t2.0")
+    trace.record("t1", {}, {"a": "t1@a", "c": "t1@c"})
+    trace.record("t2", {}, {"a": "t2@a", "b": "t2@b"})
+    # t3 read t2's b but c's initial version, which t1 overwrote.
+    trace.record("t3", {"b": "t2@b", "c": "init:c"}, {})
+    checker = SerializabilityChecker({"p": store}, trace, ["t1", "t2", "t3"])
+    with pytest.raises(SerializationViolation) as caught:
+        checker.check()
+    assert str(caught.value) == (
+        "dependency cycle in committed history: "
+        "t1 -ww('a')-> t2, t2 -wr('b')-> t3, t3 -rw('c')-> t1"
     )
+
+
+def test_graph_has_every_committed_txn_and_labelled_edges():
+    store = make_store()
+    trace = ExecutionTrace()
+    store.apply("k", "t1@k", "t1.0")
+    store.apply("k", "t2@k", "t2.0")
+    trace.record("t1", {"k": "init:k"}, {"k": "t1@k"})
+    trace.record("t2", {"k": "t1@k"}, {"k": "t2@k"})
+    # t3 read t1's version, which t2 overwrote; idle committed nothing.
+    trace.record("t3", {"k": "t1@k"}, {})
+    graph = SerializabilityChecker(
+        {"p": store}, trace, ["t1", "t2", "t3", "idle"]
+    ).check()
+    assert graph == {
+        # wr replaces the ww label of the same pair, as the last edge
+        # added between two transactions wins.
+        "t1": {"t2": ("wr", "k"), "t3": ("wr", "k")},
+        "t2": {},
+        "t3": {"t2": ("rw", "k")},
+        "idle": {},
+    }
