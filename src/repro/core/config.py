@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -12,11 +11,6 @@ class NattoConfig:
 
     Timestamp ordering (TS) is Natto itself and is always on.  The
     remaining flags follow the evaluation's cumulative ladder.
-
-    ``promote_after_aborts`` implements the starvation mitigation the
-    paper sketches in §3.3.1 ("a low-priority transaction can be
-    promoted to high priority if it is aborted one or more times") — an
-    extension, off by default to match the measured system.
 
     ``timestamp_margin`` is extra headroom (seconds) added to every
     assigned timestamp.  In the real system the p95-over-median gap of
@@ -31,7 +25,6 @@ class NattoConfig:
     pa: bool = False
     cp: bool = False
     recsf: bool = False
-    promote_after_aborts: Optional[int] = None
     timestamp_margin: float = 0.002
     #: §3.3.1's completion-time estimate: skip a priority abort when the
     #: low-priority transaction should finish before the high-priority

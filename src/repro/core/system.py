@@ -42,7 +42,6 @@ from repro.net.payload import (
 from repro.net.probing import ClientDelayView, ProbeProxy, ProxyDirectory
 from repro.sim import Future, any_of
 from repro.systems.carousel.basic import CarouselBasic
-from repro.txn.priority import Priority
 from repro.txn.transaction import TransactionSpec
 
 
@@ -52,17 +51,10 @@ class Natto(CarouselBasic):
     participant_class = NattoParticipant
     coordinator_class = NattoCoordinator
 
-    def __init__(
-        self,
-        config: NattoConfig = NattoConfig(),
-        quota: Optional["PriorityQuota"] = None,  # noqa: F821
-    ) -> None:
+    def __init__(self, config: NattoConfig = NattoConfig()) -> None:
         self.natto_config = config
         self.name = config.variant_name
         self.proxies = ProxyDirectory()
-        #: Optional priority admission control for untrusted clients
-        #: (see :mod:`repro.core.quota`).
-        self.quota = quota
         self._assigners: Dict[str, TimestampAssigner] = {}
 
     # ------------------------------------------------------------------
@@ -110,19 +102,6 @@ class Natto(CarouselBasic):
 
     def execute(self, client, spec: TransactionSpec, attempt) -> Generator:
         aid = attempt.aid
-        priority = spec.priority
-        if self.quota is not None:
-            priority = self.quota.authorize(
-                client.name, spec.txn_id, priority, client.clock.now()
-            )
-        promote_after = self.natto_config.promote_after_aborts
-        if (
-            promote_after is not None
-            and priority is Priority.LOW
-            and attempt.number >= promote_after
-        ):
-            priority = Priority.HIGH  # starvation mitigation (§3.3.1)
-
         partitioner = self.cluster.partitioner
         participants = self.participant_ids(spec)
         coordinator = self.coordinator_name(client.datacenter)
@@ -210,7 +189,7 @@ class Natto(CarouselBasic):
         request = NattoReadAndPrepare(
             aid,
             assignment.timestamp,
-            int(priority),
+            int(spec.priority),
             list(spec.read_keys),
             list(spec.write_keys),
             coordinator,
@@ -235,7 +214,4 @@ class Natto(CarouselBasic):
             if not decision.done:
                 yield decision
             result = True
-        committed = bool(result)
-        if committed and self.quota is not None:
-            self.quota.finish(spec.txn_id)
-        return committed
+        return bool(result)

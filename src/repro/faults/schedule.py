@@ -226,8 +226,8 @@ def random_schedule(
     """Draw a fault schedule deterministically from ``seed``.
 
     The kind pool adapts to what the cluster supports: crashes need
-    ``crashable`` targets (followers — leaders are irreplaceable when
-    elections are disabled), pauses need ``pausable`` targets (leaders),
+    ``crashable`` targets (followers — Raft has no elections, so a
+    leader is irreplaceable), pauses need ``pausable`` targets (leaders),
     skew spikes need ``skewable`` targets.  Blackholes are never drawn:
     with TCP-modeled transports a silent drop hangs its transaction
     forever, which reads as a liveness artifact rather than a protocol

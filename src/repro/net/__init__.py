@@ -25,7 +25,7 @@ from repro.net.delay import (
 )
 from repro.net.loss import LossConfig, LossModel, mathis_throughput
 from repro.net.message import Message
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import Network
 from repro.net.probing import DelayEstimate, ProbeProxy, ProxyDirectory
 from repro.net.topology import (
     AZURE_DATACENTERS,
@@ -46,7 +46,6 @@ __all__ = [
     "LossModel",
     "Message",
     "Network",
-    "NetworkConfig",
     "ParetoDelay",
     "ProbeProxy",
     "ProxyDirectory",

@@ -13,8 +13,9 @@ model sample)  +  retransmission penalty (loss model)``
 and delivery additionally waits for the destination node's CPU (its
 :class:`~repro.cluster.node.ServiceModel`).  Intra-datacenter messages
 skip the bandwidth pipe (they do not cross the WAN link); so do all
-messages when bandwidth is not modelled.  Pipes are FIFO queues per
-ordered datacenter pair, shared by every link between the two.
+messages when the loss config's link capacity is infinite.  Pipes are
+FIFO queues per ordered datacenter pair, shared by every link between
+the two.
 
 Two primitives:
 
@@ -42,7 +43,6 @@ can hold, delay or (blackhole) drop each message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, Optional, Tuple
 
@@ -53,22 +53,6 @@ from repro.net.message import Message
 from repro.net.payload import Reply
 from repro.net.topology import Topology
 from repro.sim import Future, Simulator
-
-
-@dataclass(frozen=True)
-class NetworkConfig:
-    """Network-wide knobs.
-
-    Attributes:
-        loss: packet-loss configuration (rate 0 disables both the
-            retransmission penalty and the Mathis bandwidth cap).
-        model_bandwidth: when False, messages never queue on pipes even
-            if a loss config is present — used by unit tests that want
-            pure propagation delays.
-    """
-
-    loss: LossConfig = LossConfig()
-    model_bandwidth: bool = True
 
 
 class _Pipe:
@@ -146,16 +130,19 @@ class Network:
         sim: Simulator,
         topology: Topology,
         delay_model: Optional[DelayModel] = None,
-        config: NetworkConfig = NetworkConfig(),
+        loss: LossConfig = LossConfig(),
         loss_rng: Any = None,
     ) -> None:
+        """``loss`` is the packet-loss configuration: rate 0 disables
+        both the retransmission penalty and the Mathis bandwidth cap,
+        and an infinite link capacity disables the bandwidth pipes."""
         self.sim = sim
         self.topology = topology
         self.delay_model = delay_model or ConstantDelay(topology)
         # Bound once: the model never changes after construction and the
         # two-step attribute chain is paid per message otherwise.
         self._sample_delay = self.delay_model.sample
-        self.config = config
+        self.loss = loss
         self._nodes: Dict[str, Node] = {}
         # src name -> dst name -> link.  Nested so that finding a
         # message's link hashes two (cached) strings, not a new tuple.
@@ -170,20 +157,17 @@ class Network:
         self._faults = None
         self.messages_dropped = 0
         self._loss = None
-        if config.loss.loss_rate > 0.0:
+        if loss.loss_rate > 0.0:
             if loss_rng is None:
                 raise ValueError("a loss RNG is required when loss_rate > 0")
-            self._loss = LossModel(config.loss, loss_rng)
+            self._loss = LossModel(loss, loss_rng)
         # Config is immutable, so whether a link's delay is a constant
         # and whether bandwidth matters at all are resolved once.  A
         # finite capacity keeps every pair's Mathis bandwidth finite.
         self._constant_delay = self._loss is None and isinstance(
             self.delay_model, ConstantDelay
         )
-        self._bandwidth_capped = (
-            config.model_bandwidth
-            and config.loss.link_capacity_bytes_per_s != float("inf")
-        )
+        self._bandwidth_capped = loss.link_capacity_bytes_per_s != float("inf")
         self.messages_sent = 0
         self.bytes_sent = 0
 
@@ -246,7 +230,7 @@ class Network:
             pipe = self._pipes.get((src_dc, dst_dc))
             if pipe is None:
                 rtt = self.topology.rtt(src_dc, dst_dc) / 1000.0
-                bandwidth = self.config.loss.effective_bandwidth(rtt)
+                bandwidth = self.loss.effective_bandwidth(rtt)
                 pipe = self._pipes[(src_dc, dst_dc)] = _Pipe(bandwidth)
         link = _Link(
             dst, src_dc, dst_dc, delay, pipe, self._handlers[dst_name]

@@ -143,13 +143,6 @@ AppendEntriesResponse = payload_class(
     "AppendEntriesResponse", term=NUM, success=BOOL, follower=STR,
     match_index=NUM,
 )
-RequestVote = payload_class(
-    "RequestVote", term=NUM, candidate=STR, last_log_index=NUM,
-    last_log_term=NUM,
-)
-RequestVoteResponse = payload_class(
-    "RequestVoteResponse", term=NUM, granted=BOOL, voter=STR
-)
 
 # Delay probing (repro.net.probing)
 Probe = payload_class("Probe", "A proxy's clock reading.", t=NUM)

@@ -11,19 +11,19 @@ round, so the cost structure here matters:
 
 :class:`ReplicationGroup` is the facade the transaction systems use:
 ``group.replicate(payload) -> Future`` resolves when the entry commits
-at the leader.  Full leader election (randomized timeouts, RequestVote,
-term safety) is implemented and tested, but the paper's experiments run
-failure-free with pre-designated leaders ("our prototypes do not
-implement fault recovery"), so the harness disables election timers.
+at the leader.  The paper's experiments run failure-free with
+pre-designated leaders ("our prototypes do not implement fault
+recovery"), so the leader is fixed: the group's first replica leads
+from construction, every replica stays in term 1, and there are no
+elections.
 """
 
 from repro.raft.log import LogEntry, RaftLog
-from repro.raft.node import RaftConfig, RaftReplica, Role
+from repro.raft.node import RaftReplica, Role
 from repro.raft.group import ReplicationGroup
 
 __all__ = [
     "LogEntry",
-    "RaftConfig",
     "RaftLog",
     "RaftReplica",
     "ReplicationGroup",

@@ -6,21 +6,19 @@ where the leader is.  :class:`ReplicationGroup` wires up the replicas of
 one partition (leader in the placement's first datacenter) and exposes
 :meth:`replicate`.
 
-In failure-free mode (``election_timeout=None``) the designated leader
-ascends immediately at construction, so the group is usable at t=0
-without an election round — matching the paper's experiments, which
-start from a stable deployment.
+The designated leader (the first replica) takes office at construction
+and keeps it for the whole run, so the group is usable at t=0 without
+an election round — matching the paper's experiments, which start from
+a stable deployment and run failure-free.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, List, Optional
 
-import numpy as np
-
 from repro.cluster.placement import PartitionPlacement
 from repro.net.network import Network
-from repro.raft.node import RaftConfig, RaftReplica
+from repro.raft.node import RaftReplica
 from repro.sim import Future, Simulator
 
 
@@ -32,9 +30,7 @@ class ReplicationGroup:
         sim: Simulator,
         network: Network,
         placement: PartitionPlacement,
-        config: RaftConfig = RaftConfig(),
         apply_callback: Optional[Callable[[Any, int], None]] = None,
-        rng: Optional[np.random.Generator] = None,
         replica_factory: Optional[Callable[..., RaftReplica]] = None,
         **node_kwargs: Any,
     ) -> None:
@@ -52,19 +48,12 @@ class ReplicationGroup:
                 name,
                 dc,
                 peers=names,
-                config=config,
                 apply_callback=apply_callback,
-                rng=rng,
                 **node_kwargs,
             )
             self.replicas.append(replica)
         self.leader = self.replicas[0]
-        if config.election_timeout is None:
-            self.leader.current_term = 1
-            self.leader.become_leader()
-        else:
-            for replica in self.replicas:
-                replica.start()
+        self.leader.become_leader()
 
     @staticmethod
     def replica_name(partition_id: int, datacenter: str) -> str:

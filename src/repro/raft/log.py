@@ -60,10 +60,6 @@ class RaftLog:
     def last_index(self) -> int:
         return len(self._entries)
 
-    @property
-    def last_term(self) -> int:
-        return self._entries[-1].term if self._entries else 0
-
     def term_at(self, index: int) -> Optional[int]:
         """Term of the entry at ``index`` (0 for the sentinel), or None."""
         if index == 0:
@@ -109,16 +105,6 @@ class RaftLog:
                 self._entries.append(entry)
             # else: duplicate of an entry we already have; keep it.
         return True
-
-    def up_to_date(self, other_last_index: int, other_last_term: int) -> bool:
-        """Is (other_last_index, other_last_term) at least as fresh as us?
-
-        Used by the voting rule: grant votes only to candidates whose
-        log is at least as up-to-date.
-        """
-        if other_last_term != self.last_term:
-            return other_last_term > self.last_term
-        return other_last_index >= self.last_index
 
     def snapshot(self) -> Tuple[LogEntry, ...]:
         """Immutable copy, for tests and invariant checks."""

@@ -1,61 +1,45 @@
-"""A Raft replica.
+"""A Raft replica with a fixed leader.
 
-Implements the core of the protocol: terms, the three roles, leader
-election with randomized timeouts, AppendEntries replication with
-log-matching repair (next_index back-off), and majority commit.
+The paper's prototypes "do not implement fault recovery" and every
+experiment runs failure-free, so leadership never changes: the leader is
+designated at construction (:class:`~repro.raft.group.ReplicationGroup`
+makes its first replica lead) and every replica is in term 1 for the
+whole run.  There are no elections.  What remains is AppendEntries
+replication with log-matching repair (next_index back-off, which
+blackhole faults exercise) and majority commit.  Terms stay in log
+entries and messages, so the wire format and the log-matching check are
+Raft's.
 
 Simplifications relative to a production Raft (documented in DESIGN.md):
 
+* no elections and no terms beyond the first;
 * no persistence (the simulation never crash-restarts a node);
 * no snapshotting/log compaction;
 * no membership changes.
-
-The experiments run with ``election_timeout=None`` (stable pre-designated
-leaders, matching the paper's failure-free evaluation); elections are
-exercised by the unit tests in ``tests/raft/test_election.py``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.node import Node
 from repro.net.network import Network
-from repro.net.payload import (
-    AppendEntries,
-    AppendEntriesResponse,
-    RequestVote,
-    RequestVoteResponse,
-)
+from repro.net.payload import AppendEntries, AppendEntriesResponse
 from repro.raft.log import LogEntry, RaftLog
 from repro.sim import Future, Simulator, Timer
 
 #: Shared empty-entries sentinel for heartbeats (never mutated).
 _NO_ENTRIES: tuple = ()
 
+#: Seconds between a leader's heartbeats.
+HEARTBEAT_INTERVAL = 0.05
+
 
 class Role(enum.Enum):
     FOLLOWER = "follower"
-    CANDIDATE = "candidate"
     LEADER = "leader"
-
-
-@dataclass(frozen=True)
-class RaftConfig:
-    """Timing parameters.
-
-    ``election_timeout`` of None disables elections entirely (the
-    harness's failure-free mode); otherwise each follower draws a
-    timeout uniformly from [election_timeout, 2 * election_timeout).
-    """
-
-    heartbeat_interval: float = 0.05
-    election_timeout: Optional[float] = None
 
 
 class RaftReplica(Node):
@@ -68,25 +52,19 @@ class RaftReplica(Node):
         name: str,
         datacenter: str,
         peers: List[str],
-        config: RaftConfig = RaftConfig(),
         apply_callback: Optional[Callable[[Any, int], None]] = None,
-        rng: Optional[np.random.Generator] = None,
         **node_kwargs: Any,
     ) -> None:
         super().__init__(sim, name, datacenter, **node_kwargs)
         self._network = network
         self.peers = [p for p in peers if p != name]
-        self.config = config
         self.apply_callback = apply_callback
-        self._rng = rng or np.random.default_rng(0)
 
         self.role = Role.FOLLOWER
-        self.current_term = 0
-        self.voted_for: Optional[str] = None
+        self.current_term = 1
         self.log = RaftLog()
         self.commit_index = 0
         self.last_applied = 0
-        self.leader_hint: Optional[str] = None
 
         # Leader volatile state.
         self._next_index: Dict[str, int] = {}
@@ -94,22 +72,18 @@ class RaftReplica(Node):
         # Pipelining: highest index already shipped to each peer, so a
         # new proposal or heartbeat does not re-send in-flight entries.
         self._sent_index: Dict[str, int] = {}
-        self._votes: set = set()
-        # Proposals awaiting commit: index -> (term proposed in, future),
-        # plus a min-heap of the same indexes so that a commit advance
-        # releases them in index order without scanning the backlog.
-        self._commit_futures: Dict[int, Tuple[int, Future]] = {}
-        self._pending_indexes: List[int] = []
+        # Proposals awaiting commit, (index, future) in index order: the
+        # leader's log only grows, so proposals arrive in index order.
+        self._commit_futures: Deque[Tuple[int, Future]] = deque()
         # Idle-group fast path: heartbeats to every peer carry the same
         # (term, prev_index, prev_term, [], leader_commit) tuple between
         # log appends, and the matching success responses are likewise
-        # identical between term/match changes.  One cached payload
-        # object serves all of them — handlers never mutate payloads —
-        # so an idle group stops allocating and re-sizing per beat.
+        # identical between match changes.  One cached payload object
+        # serves all of them — handlers never mutate payloads — so an
+        # idle group stops allocating and re-sizing per beat.
         self._idle_append: Optional[AppendEntries] = None
         self._append_response: Optional[AppendEntriesResponse] = None
 
-        self._election_timer: Optional[Timer] = None
         self._heartbeat_timer: Optional[Timer] = None
         #: Fault injection: while True the leader emits no heartbeats
         #: (and schedules none), modelling a frozen process whose
@@ -120,13 +94,14 @@ class RaftReplica(Node):
     # ------------------------------------------------------------------
     # Lifecycle
 
-    def start(self) -> None:
-        """Arm the election timer (no-op in failure-free mode)."""
-        self._reset_election_timer()
-
     def become_leader(self) -> None:
-        """Assume leadership directly (harness failure-free mode)."""
-        self._ascend()
+        """Lead the group from now on and send the first heartbeat."""
+        self.role = Role.LEADER
+        for peer in self.peers:
+            self._next_index[peer] = self.log.last_index + 1
+            self._match_index[peer] = 0
+            self._sent_index[peer] = self.log.last_index
+        self._broadcast_heartbeat()
 
     @property
     def quorum(self) -> int:
@@ -145,18 +120,9 @@ class RaftReplica(Node):
             future = Future()
             future.set_exception(RuntimeError(f"{self.name} is not the leader"))
             return future
-        term = self.current_term
-        index = self.log.append(LogEntry(term, payload))
+        index = self.log.append(LogEntry(self.current_term, payload))
         future = Future()
-        # An index can come back after a deposed leader's uncommitted
-        # tail was overwritten and it was elected again.  Its old entry
-        # is gone, so its proposal fails; the index is already queued.
-        stale = self._commit_futures.get(index)
-        self._commit_futures[index] = (term, future)
-        if stale is None:
-            heappush(self._pending_indexes, index)
-        else:
-            self._fail_proposal(stale, index)
+        self._commit_futures.append((index, future))
         tracer = self.sim.tracer
         if tracer is not None:
             # Payloads are ("<kind>", "<txn attempt id>", ...) tuples.
@@ -171,10 +137,10 @@ class RaftReplica(Node):
             span = tracer.span(
                 "raft:replicate", node=self.name, txn=txn, kind=kind, index=index
             )
-            # The span ends when the entry commits (or its proposal
-            # fails), so its length is the commit wait.  Registered before
-            # any chance of resolution so the no-peer immediate-commit
-            # path still records (fires synchronously).
+            # The span ends when the entry commits, so its length is the
+            # commit wait.  Registered before any chance of resolution so
+            # the no-peer immediate-commit path still records (fires
+            # synchronously).
             future.add_done_callback(lambda _f: span.finish())
         if not self.peers:
             self._advance_commit()
@@ -188,15 +154,15 @@ class RaftReplica(Node):
 
     def pause_heartbeats(self) -> None:
         """Stop the heartbeat series (leader pause fault).  The replica
-        keeps its role and log; a paused leader simply goes silent, so
-        followers with elections enabled will depose it."""
+        keeps its role and log; a paused leader simply goes silent and,
+        with no elections, is still the leader when it resumes."""
         self.heartbeats_paused = True
         if self._heartbeat_timer is not None:
             self._heartbeat_timer.cancel()
             self._heartbeat_timer = None
 
     def resume_heartbeats(self) -> None:
-        """Undo :meth:`pause_heartbeats`; a still-leader resumes beating
+        """Undo :meth:`pause_heartbeats`; a leader resumes beating
         immediately."""
         if not self.heartbeats_paused:
             return
@@ -205,108 +171,15 @@ class RaftReplica(Node):
             self._broadcast_heartbeat()
 
     # ------------------------------------------------------------------
-    # Elections
-
-    def _reset_election_timer(self) -> None:
-        if self.config.election_timeout is None:
-            return
-        if self._election_timer is not None:
-            self._election_timer.cancel()
-        timeout = float(
-            self._rng.uniform(
-                self.config.election_timeout, 2 * self.config.election_timeout
-            )
-        )
-        self._election_timer = self.sim.schedule(timeout, self._start_election)
-
-    def _start_election(self) -> None:
-        if self.role is Role.LEADER:
-            return
-        self.role = Role.CANDIDATE
-        self.current_term += 1
-        self.voted_for = self.name
-        self._votes = {self.name}
-        self._reset_election_timer()
-        if len(self._votes) >= self.quorum:
-            self._ascend()
-            return
-        for peer in self.peers:
-            self._network.send(
-                self,
-                peer,
-                "request_vote",
-                RequestVote(
-                    self.current_term,
-                    self.name,
-                    self.log.last_index,
-                    self.log.last_term,
-                ),
-            )
-
-    def handle_request_vote(self, payload: RequestVote, src: str) -> None:
-        term = payload.term
-        if term > self.current_term:
-            self._step_down(term)
-        granted = (
-            term == self.current_term
-            and self.voted_for in (None, payload.candidate)
-            and self.log.up_to_date(
-                payload.last_log_index, payload.last_log_term
-            )
-        )
-        if granted:
-            self.voted_for = payload.candidate
-            self._reset_election_timer()
-        self._network.send(
-            self,
-            src,
-            "request_vote_response",
-            RequestVoteResponse(self.current_term, granted, self.name),
-        )
-
-    def handle_request_vote_response(
-        self, payload: RequestVoteResponse, src: str
-    ) -> None:
-        if payload.term > self.current_term:
-            self._step_down(payload.term)
-            return
-        if self.role is not Role.CANDIDATE or payload.term != self.current_term:
-            return
-        if payload.granted:
-            self._votes.add(payload.voter)
-            if len(self._votes) >= self.quorum:
-                self._ascend()
-
-    def _ascend(self) -> None:
-        self.role = Role.LEADER
-        self.leader_hint = self.name
-        if self._election_timer is not None:
-            self._election_timer.cancel()
-        for peer in self.peers:
-            self._next_index[peer] = self.log.last_index + 1
-            self._match_index[peer] = 0
-            self._sent_index[peer] = self.log.last_index
-        self._broadcast_heartbeat()
-
-    def _step_down(self, term: int) -> None:
-        was_leader = self.role is Role.LEADER
-        self.current_term = term
-        self.role = Role.FOLLOWER
-        self.voted_for = None
-        if was_leader and self._heartbeat_timer is not None:
-            self._heartbeat_timer.cancel()
-        self._reset_election_timer()
-
-    # ------------------------------------------------------------------
     # Replication
 
     def _broadcast_heartbeat(self) -> None:
-        if self.role is not Role.LEADER or self.heartbeats_paused:
+        if self.heartbeats_paused:
             return
         for peer in self.peers:
             self._send_entries(peer)
         self._heartbeat_timer = self.sim.schedule(
-            self.config.heartbeat_interval, self._broadcast_heartbeat
+            HEARTBEAT_INTERVAL, self._broadcast_heartbeat
         )
 
     def _send_entries(self, peer: str) -> None:
@@ -334,13 +207,12 @@ class RaftReplica(Node):
             )
         else:
             # Idle heartbeat: reuse the cached payload while nothing in
-            # (term, prev, commit) has moved.  In steady state every
-            # peer sees the same tuple, so one object serves them all.
+            # (prev, commit) has moved.  In steady state every peer sees
+            # the same tuple, so one object serves them all.
             prev_term = self.log.term_at(prev_index)
             payload = self._idle_append
             if (
                 payload is None
-                or payload.term != self.current_term
                 or payload.prev_index != prev_index
                 or payload.prev_term != prev_term
                 or payload.leader_commit != self.commit_index
@@ -357,22 +229,6 @@ class RaftReplica(Node):
         self._network.send(self, peer, "append_entries", payload)
 
     def handle_append_entries(self, payload: AppendEntries, src: str) -> None:
-        term = payload.term
-        if term > self.current_term:
-            self._step_down(term)
-        if term < self.current_term:
-            self._network.send(
-                self,
-                src,
-                "append_entries_response",
-                AppendEntriesResponse(self.current_term, False, self.name, 0),
-            )
-            return
-        # Valid leader for this term.
-        if self.role is Role.CANDIDATE:
-            self.role = Role.FOLLOWER
-        self.leader_hint = payload.leader
-        self._reset_election_timer()
         entries = payload.entries
         if entries:
             success = self.log.append_from_leader(
@@ -389,15 +245,11 @@ class RaftReplica(Node):
                 payload.leader_commit, self.log.last_index
             )
             self._apply_committed()
-            if self._commit_futures:
-                # Proposals from an earlier leadership of this replica.
-                self._release_commit_futures()
-        # Heartbeat responses between term/match changes are identical;
-        # reuse the cached one (mirrors the leader's idle-payload cache).
+        # Heartbeat responses between match changes are identical; reuse
+        # the cached one (mirrors the leader's idle-payload cache).
         response = self._append_response
         if (
             response is None
-            or response.term != self.current_term
             or response.success is not success
             or response.match_index != match_index
         ):
@@ -410,11 +262,6 @@ class RaftReplica(Node):
     def handle_append_entries_response(
         self, payload: AppendEntriesResponse, src: str
     ) -> None:
-        if payload.term > self.current_term:
-            self._step_down(payload.term)
-            return
-        if self.role is not Role.LEADER:
-            return
         peer = payload.follower
         if payload.success:
             match = payload.match_index
@@ -429,41 +276,24 @@ class RaftReplica(Node):
             self._send_entries(peer)
 
     def _advance_commit(self) -> None:
-        # Highest index replicated on a majority whose term is current.
+        # Highest index replicated on a majority (leader included).
         matches = sorted(
             [self.log.last_index] + list(self._match_index.values()),
             reverse=True,
         )
         majority_match = matches[self.quorum - 1]
-        for index in range(self.commit_index + 1, majority_match + 1):
-            if self.log.term_at(index) == self.current_term:
-                self.commit_index = index
+        if majority_match > self.commit_index:
+            self.commit_index = majority_match
         self._apply_committed()
         self._release_commit_futures()
 
     def _release_commit_futures(self) -> None:
-        """Settle the pending proposals at or below ``commit_index``, in
-        index order.  A proposal succeeds only if its own entry is the
-        one that committed: after a change of leader another term's
-        entry may sit at its index, and then it fails."""
-        heap = self._pending_indexes
-        futures = self._commit_futures
-        term_at = self.log.term_at
-        while heap and heap[0] <= self.commit_index:
-            index = heappop(heap)
-            pending = futures.pop(index)
-            if term_at(index) == pending[0]:
-                pending[1].set_result(index)
-            else:
-                self._fail_proposal(pending, index)
-
-    def _fail_proposal(self, pending: Tuple[int, Future], index: int) -> None:
-        term, future = pending
-        future.set_exception(
-            RuntimeError(
-                f"{self.name}: entry {index} of term {term} was overwritten"
-            )
-        )
+        """Resolve the pending proposals at or below ``commit_index``,
+        in index order."""
+        pending = self._commit_futures
+        while pending and pending[0][0] <= self.commit_index:
+            index, future = pending.popleft()
+            future.set_result(index)
 
     def _apply_committed(self) -> None:
         while self.last_applied < self.commit_index:

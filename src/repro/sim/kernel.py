@@ -66,8 +66,6 @@ import heapq
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional
 
-from repro.sim.future import Future
-
 if TYPE_CHECKING:
     from repro.obs.trace import Tracer
 
@@ -117,65 +115,6 @@ class Timer:
 
 def _noop() -> None:
     return None
-
-
-class PeriodicTimer:
-    """Handle for a repeating callback armed by :meth:`Simulator.every`.
-
-    Each firing invokes the callback and re-arms the next occurrence,
-    so at most one heap entry exists per series at any time.  ``cancel``
-    stops the series (idempotent); a callback may also cancel its own
-    timer to stop from the inside.
-    """
-
-    __slots__ = ("_sim", "_interval", "_callback", "_until", "_timer",
-                 "_cancelled", "fired")
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        interval: float,
-        callback: Callable[[], None],
-        until: Optional[float] = None,
-    ) -> None:
-        if interval <= 0:
-            raise SimulationError(f"period must be positive, got {interval}")
-        self._sim = sim
-        self._interval = interval
-        self._callback = callback
-        self._until = until
-        self._cancelled = False
-        self.fired = 0
-        self._timer: Optional[Timer] = None
-        self._arm()
-
-    def _arm(self) -> None:
-        when = self._sim._now + self._interval
-        if self._until is not None and when > self._until:
-            self._timer = None
-            return
-        self._timer = self._sim.schedule_at(when, self._fire)
-
-    def _fire(self) -> None:
-        if self._cancelled:
-            return
-        self.fired += 1
-        self._callback()
-        if not self._cancelled:
-            self._arm()
-
-    def cancel(self) -> None:
-        """Stop the series.  Idempotent."""
-        if self._cancelled:
-            return
-        self._cancelled = True
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
 
 
 class Simulator:
@@ -264,28 +203,6 @@ class Simulator:
             )
         self._sequence += 1
         heappush(self._heap, (when, self._sequence, callback))
-
-    def every(
-        self,
-        interval: float,
-        callback: Callable[[], None],
-        until: Optional[float] = None,
-    ) -> PeriodicTimer:
-        """Run ``callback`` every ``interval`` seconds, starting one
-        interval from now.
-
-        With ``until``, no firing is scheduled past that time.  Returns
-        a :class:`PeriodicTimer` whose ``cancel`` stops the series —
-        the hook runtime invariant monitors and the fault injector use
-        for periodic mid-run checks.
-        """
-        return PeriodicTimer(self, interval, callback, until)
-
-    def timeout(self, delay: float) -> Future:
-        """A future that resolves (with ``None``) after ``delay`` seconds."""
-        future = Future()
-        self.post(delay, future.set_result)
-        return future
 
     def spawn(self, generator: Generator) -> "Process":
         """Start a coroutine process; see :class:`repro.sim.process.Process`."""

@@ -16,9 +16,10 @@ replicas share :class:`RaftParticipant`: the store, the partition id,
 abort tombstones, the traced refusal and the no-vote.
 
 The default :class:`SystemConfig` mirrors the paper's settings: 5
-partitions, 3 replicas, loosely synchronized clocks, Raft without
-elections (failure-free runs), and a small per-message server CPU cost
-that produces realistic saturation behaviour.
+partitions, 3 replicas, loosely synchronized clocks, and a small
+per-message server CPU cost that produces realistic saturation
+behaviour.  Raft has a fixed leader and no elections (failure-free
+runs).
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ from repro.cluster.partition import Partitioner
 from repro.cluster.placement import PartitionPlacement, place_partitions
 from repro.net.delay import make_delay_model
 from repro.net.loss import LossConfig
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import Network
 from repro.net.payload import Refusal, VoteReason
 from repro.net.probing import ProbeTargetMixin
 from repro.net.topology import Topology
 from repro.obs.abort import reason_value
 from repro.raft.group import ReplicationGroup
-from repro.raft.node import RaftConfig, RaftReplica
+from repro.raft.node import RaftReplica
 from repro.sim import RandomStreams, Simulator
 from repro.store.kv import KeyValueStore
 from repro.txn.transaction import TransactionSpec
@@ -53,11 +54,6 @@ class SystemConfig:
     clock: ClockConfig = field(
         default_factory=lambda: ClockConfig(
             max_offset=0.001, sync_interval=1.0, sync_error=0.0005
-        )
-    )
-    raft: RaftConfig = field(
-        default_factory=lambda: RaftConfig(
-            heartbeat_interval=0.05, election_timeout=None
         )
     )
     #: Per-message CPU cost on servers (calibrated against Figure 14).
@@ -95,7 +91,7 @@ class Cluster:
             self.sim,
             topology,
             delay_model=delay_model,
-            config=NetworkConfig(loss=config.loss),
+            loss=config.loss,
             loss_rng=(
                 self.streams.stream("net.loss")
                 if config.loss.loss_rate > 0
@@ -173,8 +169,8 @@ class RaftBackedSystem(TransactionSystem):
     """Partition leaders replicated by Raft, plus one coordinator group
     per datacenter (the deployment of Carousel, Natto and 2PL+2PC).
 
-    Every node gets its own ``raft.<name>`` stream and
-    ``cluster.make_clock(name)`` clock, and the cluster's service time.
+    Every node gets its own ``cluster.make_clock(name)`` clock and the
+    cluster's service time.
     Subclasses set the two node classes and may add constructor keywords
     through :meth:`participant_options` and :meth:`coordinator_options`.
     """
@@ -225,7 +221,6 @@ class RaftBackedSystem(TransactionSystem):
         cluster = self.cluster
 
         def make(sim, network, name, dc, **kwargs):
-            kwargs["rng"] = cluster.streams.stream(f"raft.{name}")
             return node_class(
                 sim,
                 network,
@@ -245,7 +240,6 @@ class RaftBackedSystem(TransactionSystem):
             cluster.sim,
             cluster.network,
             placement,
-            config=cluster.config.raft,
             replica_factory=factory,
         )
 

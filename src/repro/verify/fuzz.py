@@ -164,10 +164,10 @@ class ScenarioOutcome:
 def _fault_targets(system) -> Tuple[List[str], List[str], List[str]]:
     """(crashable followers, pausable leaders, skewable replicas).
 
-    Leaders are never crashed: with elections disabled (the repo's
-    failure-free Raft mode, as in the paper's experiments) a crashed
-    leader is irreplaceable and the run degenerates to a liveness
-    timeout.  Leaders get pauses instead, which are liveness-safe.
+    Leaders are never crashed: Raft's leader is fixed (no elections, as
+    in the paper's failure-free experiments), so a crashed leader is
+    irreplaceable and the run degenerates to a liveness timeout.
+    Leaders get pauses instead, which are liveness-safe.
     """
     followers: List[str] = []
     leaders: List[str] = []

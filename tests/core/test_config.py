@@ -29,13 +29,9 @@ def test_default_margin_is_small_but_positive():
 def test_overrides():
     config = natto_recsf(timestamp_margin=0.0)
     assert config.timestamp_margin == 0.0
-    promoted = config.with_overrides(promote_after_aborts=2)
-    assert promoted.promote_after_aborts == 2
-    assert config.promote_after_aborts is None  # frozen original
-
-
-def test_promotion_off_by_default():
-    assert natto_recsf().promote_after_aborts is None
+    always_abort = config.with_overrides(pa_skip_rule=False)
+    assert always_abort.pa_skip_rule is False
+    assert config.pa_skip_rule is True  # frozen original
 
 
 def test_configs_are_hashable_and_comparable():

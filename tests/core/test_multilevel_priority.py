@@ -9,7 +9,6 @@ from repro.core.config import natto_pa, natto_ts
 from repro.core.server import NattoParticipant
 from repro.net.network import Network
 from repro.net.topology import azure_topology
-from repro.raft.node import RaftConfig
 from repro.sim import Simulator
 from repro.txn.priority import Priority
 
@@ -25,11 +24,9 @@ def build(config):
         "p0-VA",
         "VA",
         peers=["p0-VA"],
-        config=RaftConfig(election_timeout=None),
         natto_config=config,
         partitioner=Partitioner(1),
     )
-    server.current_term = 1
     server.become_leader()
 
     client = server_unit.Recorder(sim, "client")

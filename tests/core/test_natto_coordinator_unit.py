@@ -14,7 +14,6 @@ from repro.net.payload import (
     VoteReason,
 )
 from repro.net.topology import azure_topology
-from repro.raft.node import RaftConfig
 from repro.sim import Simulator
 
 
@@ -43,11 +42,9 @@ def build():
         "p1000-VA",
         "VA",
         peers=["p1000-VA"],
-        config=RaftConfig(election_timeout=None),
         partitioner=Partitioner(2),
         leader_names=leaders,
     )
-    coord.current_term = 1
     coord.become_leader()
     client = Recorder(sim, "client")
     net.register(client)

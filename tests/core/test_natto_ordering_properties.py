@@ -9,7 +9,6 @@ from repro.core.server import NattoParticipant
 from repro.net.network import Network
 from repro.net.payload import CommitTxn
 from repro.net.topology import azure_topology
-from repro.raft.node import RaftConfig
 from repro.sim import Simulator
 
 from tests.core.test_natto_server_unit import Recorder, rap
@@ -24,11 +23,9 @@ def build_server():
         "p0-VA",
         "VA",
         peers=["p0-VA"],
-        config=RaftConfig(election_timeout=None),
         natto_config=natto_ts(),
         partitioner=Partitioner(1),
     )
-    server.current_term = 1
     server.become_leader()
     net.register(Recorder(sim, "client"))
     net.register(Recorder(sim, "coord"))

@@ -16,7 +16,6 @@ from repro.core.server import NattoParticipant
 from repro.net.network import Network
 from repro.net.payload import CommitTxn, NattoReadAndPrepare
 from repro.net.topology import azure_topology
-from repro.raft.node import RaftConfig
 from repro.sim import Simulator
 
 
@@ -55,12 +54,10 @@ def build(config):
         "p0-VA",
         "VA",
         peers=["p0-VA"],  # single-replica group: propose commits instantly
-        config=RaftConfig(election_timeout=None),
         natto_config=config,
         partitioner=Partitioner(8),
     )
     # RaftReplica registers itself with the network at construction.
-    server.current_term = 1
     server.become_leader()
     client = Recorder(sim, "client")
     coord = Recorder(sim, "coord")

@@ -5,7 +5,6 @@ is directly observable, plus a small Raft group for the leader-pause
 hook.
 """
 
-import numpy as np
 import pytest
 
 from repro.cluster import Node
@@ -23,7 +22,7 @@ from repro.faults import (
     server_crash,
 )
 from repro.net import Network, azure_topology
-from repro.raft import RaftConfig, ReplicationGroup, Role
+from repro.raft import ReplicationGroup, Role
 from repro.sim import Simulator
 
 
@@ -167,8 +166,6 @@ def test_leader_pause_suppresses_heartbeats_then_resumes():
         sim,
         net,
         PartitionPlacement(0, ("VA", "WA", "PR")),
-        config=RaftConfig(heartbeat_interval=0.05, election_timeout=None),
-        rng=np.random.default_rng(0),
     )
     leader = group.leader
     schedule = FaultSchedule((leader_pause(1.0, 2.0, leader.name),))

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cluster import Node
 from repro.faults import FaultInjector, FaultSchedule, blackhole
-from repro.net import LossConfig, Network, NetworkConfig, azure_topology
+from repro.net import LossConfig, Network, azure_topology
 from repro.sim import Future, Simulator
 
 
@@ -31,10 +31,10 @@ class Echo(Node):
         return future
 
 
-def build(topology=None, config=None, loss_rng=None):
+def build(topology=None, loss=LossConfig(), loss_rng=None):
     sim = Simulator()
     topo = topology or azure_topology()
-    net = Network(sim, topo, config=config or NetworkConfig(), loss_rng=loss_rng)
+    net = Network(sim, topo, loss=loss, loss_rng=loss_rng)
     return sim, net
 
 
@@ -106,12 +106,12 @@ def test_service_time_delays_handling_and_queues():
 
 def test_loss_requires_rng():
     with pytest.raises(ValueError):
-        build(config=NetworkConfig(loss=LossConfig(loss_rate=0.01)))
+        build(loss=LossConfig(loss_rate=0.01))
 
 
 def test_loss_inflates_latency_tail():
-    config = NetworkConfig(loss=LossConfig(loss_rate=0.3, rto=0.2))
-    sim, net = build(config=config, loss_rng=np.random.default_rng(0))
+    loss = LossConfig(loss_rate=0.3, rto=0.2)
+    sim, net = build(loss=loss, loss_rng=np.random.default_rng(0))
     a = net.register(Echo(sim, "a", "VA"))
     b = net.register(Echo(sim, "b", "WA"))
     for i in range(200):
@@ -124,10 +124,9 @@ def test_loss_inflates_latency_tail():
 
 def test_bandwidth_pipe_serializes_large_messages():
     # Tiny capacity: 10 KB/s; two ~0.6KB messages must queue.
-    config = NetworkConfig(
+    sim, net = build(
         loss=LossConfig(loss_rate=0.0, link_capacity_bytes_per_s=1e4)
     )
-    sim, net = build(config=config)
     a = net.register(Echo(sim, "a", "VA"))
     b = net.register(Echo(sim, "b", "WA"))
     big = {"data": "x" * 500}
@@ -205,7 +204,7 @@ class ScriptedFaults:
 
 
 def test_fifo_floor_holds_under_a_fault_floor():
-    sim, net = build(config=NetworkConfig(model_bandwidth=False))
+    sim, net = build(loss=LossConfig(link_capacity_bytes_per_s=float("inf")))
     a = net.register(Echo(sim, "a", "VA"))
     b = net.register(Echo(sim, "b", "WA"))
     one_way = 0.067 / 2

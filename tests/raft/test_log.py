@@ -12,7 +12,6 @@ from repro.raft import LogEntry, RaftLog
 def test_empty_log_sentinel():
     log = RaftLog()
     assert log.last_index == 0
-    assert log.last_term == 0
     assert log.term_at(0) == 0
     assert log.term_at(1) is None
 
@@ -71,22 +70,6 @@ def test_entries_from_returns_suffix():
         log.append(LogEntry(1, p))
     assert [e.payload for e in log.entries_from(2)] == ["b", "c"]
     assert log.entries_from(4) == []
-
-
-def test_up_to_date_prefers_higher_term():
-    log = RaftLog()
-    log.append(LogEntry(2, "a"))
-    assert log.up_to_date(1, 3)       # higher last term wins
-    assert not log.up_to_date(5, 1)   # lower term loses despite length
-
-
-def test_up_to_date_same_term_prefers_longer_log():
-    log = RaftLog()
-    log.append(LogEntry(1, "a"))
-    log.append(LogEntry(1, "b"))
-    assert log.up_to_date(2, 1)
-    assert log.up_to_date(3, 1)
-    assert not log.up_to_date(1, 1)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=5), max_size=30))

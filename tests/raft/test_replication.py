@@ -5,19 +5,17 @@ import pytest
 
 from repro.cluster.placement import PartitionPlacement
 from repro.net import Network, azure_topology, local_cluster_topology
-from repro.net.payload import AppendEntries
-from repro.raft import LogEntry, RaftConfig, ReplicationGroup, Role
+from repro.raft import ReplicationGroup, Role
 from repro.sim import Simulator
 
 
-def build(datacenters=("VA", "WA", "PR"), apply_callback=None, heartbeat=0.05):
+def build(datacenters=("VA", "WA", "PR"), apply_callback=None):
     sim = Simulator()
     net = Network(sim, azure_topology())
     group = ReplicationGroup(
         sim,
         net,
         PartitionPlacement(0, tuple(datacenters)),
-        config=RaftConfig(heartbeat_interval=heartbeat, election_timeout=None),
         apply_callback=apply_callback,
     )
     return sim, net, group
@@ -162,7 +160,6 @@ def test_deep_backlog_releases_every_future_once_in_index_order():
         sim,
         net,
         PartitionPlacement(0, ("DC1", "DC2", "DC3")),
-        config=RaftConfig(heartbeat_interval=0.05, election_timeout=None),
     )
     leader = group.leader
     acks = []
@@ -186,29 +183,4 @@ def test_deep_backlog_releases_every_future_once_in_index_order():
     # Acks really arrived out of index order.
     assert acks != sorted(acks)
     assert released == [(index, index) for index in range(1, 601)]
-    assert leader._commit_futures == {}
-
-
-def test_reproposed_index_fails_the_stale_proposal():
-    sim, _, group = build()
-    leader = group.leader
-    term = leader.current_term
-    proposals = [leader.propose(op) for op in "abc"]
-    # Before any of them replicates, a leader of the next term replaces
-    # the tail from index 2 with one entry of its own.
-    overwrite = [LogEntry(term + 1, "x")]
-    leader.handle_append_entries(
-        AppendEntries(term + 1, "p0-WA", 1, term, overwrite, 0), "p0-WA"
-    )
-    assert leader.role is Role.FOLLOWER
-    assert leader.log.last_index == 2
-
-    leader.become_leader()
-    replacement = leader.propose("d")
-    assert isinstance(proposals[2].exception, RuntimeError)
-    sim.run(until=2.0)
-
-    assert proposals[0].value == 1
-    assert isinstance(proposals[1].exception, RuntimeError)
-    assert replacement.value == 3
-    assert leader._commit_futures == {}
+    assert not leader._commit_futures

@@ -118,15 +118,6 @@ def test_a_stopped_run_leaves_the_clock_at_the_stop():
     assert sim.now == 10.0
 
 
-def test_timeout_future_resolves_at_deadline():
-    sim = Simulator()
-    future = sim.timeout(0.25)
-    resolved_at = []
-    future.add_done_callback(lambda _: resolved_at.append(sim.now))
-    sim.run()
-    assert resolved_at == [0.25]
-
-
 def test_zero_delay_event_runs_at_current_time():
     sim = Simulator()
     seen = []
@@ -143,43 +134,6 @@ def test_heavy_event_load_maintains_order():
         sim.schedule(i * 0.001, lambda i=i: seen.append(i))
     sim.run()
     assert seen == sorted(seen)
-
-
-def test_every_fires_on_a_fixed_cadence():
-    sim = Simulator()
-    ticks = []
-    timer = sim.every(0.5, lambda: ticks.append(sim.now), until=2.0)
-    sim.run()
-    assert ticks == [0.5, 1.0, 1.5, 2.0]
-    assert timer.fired == 4
-
-
-def test_every_cancel_stops_the_series():
-    sim = Simulator()
-    ticks = []
-    timer = sim.every(0.5, lambda: ticks.append(sim.now))
-    sim.schedule(1.2, timer.cancel)
-    sim.schedule(1.2, timer.cancel)  # idempotent
-    sim.run(until=5.0)
-    assert ticks == [0.5, 1.0]
-
-
-def test_every_callback_may_cancel_its_own_timer():
-    sim = Simulator()
-    ticks = []
-    timer = sim.every(
-        0.25,
-        lambda: (ticks.append(sim.now), timer.cancel())
-        if len(ticks) >= 2 else ticks.append(sim.now),
-    )
-    sim.run(until=10.0)
-    assert len(ticks) == 3
-
-
-def test_every_rejects_nonpositive_period():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.every(0.0, lambda: None)
 
 
 @pytest.fixture

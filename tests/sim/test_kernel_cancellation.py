@@ -177,7 +177,14 @@ def test_events_fired_matches_callbacks_across_slices():
     sim.schedule(4.0, counted(cancel_most))
     sim.schedule_at(7.0, counted(sim.stop))
     sim.schedule(8.0, counted())
-    series = sim.every(0.5, counted(), until=9.0)
+    # A series every 0.5 s up to t=9: each firing re-arms the next.
+    series = []
+
+    def rearm():
+        if sim.now + 0.5 <= 9.0:
+            series.append(sim.schedule(0.5, counted(rearm)))
+
+    rearm()
 
     sim.run(until=1.0)
     check()
@@ -187,7 +194,7 @@ def test_events_fired_matches_callbacks_across_slices():
     sim.run()  # stopped by the t=7 callback
     assert sim.now == 7.0
     check()
-    series.cancel()
+    series[-1].cancel()
     sim.run(until=20.0)
     check()
     assert sim.pending_events == 0

@@ -4,7 +4,6 @@ from repro.cluster.node import Node
 from repro.net.network import Network
 from repro.net.payload import CommitTxn, LockRead, ReleaseLocks, TwoPLPrepare
 from repro.net.topology import azure_topology
-from repro.raft.node import RaftConfig
 from repro.sim import Simulator
 from repro.systems.twopl.policy import PreemptPolicy, WoundWaitPolicy
 from repro.systems.twopl.server import TwoPLParticipant
@@ -37,10 +36,8 @@ def build(policy=None):
         "p0-VA",
         "VA",
         peers=["p0-VA"],
-        config=RaftConfig(election_timeout=None),
         policy=policy or WoundWaitPolicy(),
     )
-    server.current_term = 1
     server.become_leader()
     client = Recorder(sim, "client")
     coord = Recorder(sim, "coord")

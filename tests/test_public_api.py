@@ -21,6 +21,7 @@ PACKAGES = [
     "repro.harness",
     "repro.verify",
     "repro.faults",
+    "repro.obs",
     "repro.experiments",
 ]
 

@@ -6,14 +6,13 @@ state is corrupted in precisely one way; the mutation smoke test runs a
 proves the 2PC-atomicity checker catches it.
 """
 
-import numpy as np
 import pytest
 
 from repro.cluster.placement import PartitionPlacement
 from repro.faults import FaultSchedule
 from repro.net import Network, azure_topology
 from repro.obs.trace import Tracer
-from repro.raft import RaftConfig, ReplicationGroup
+from repro.raft import ReplicationGroup
 from repro.sim import Simulator
 from repro.store.kv import KeyValueStore
 from repro.systems.twopl.server import TwoPLParticipant
@@ -163,8 +162,6 @@ def _raft_system(until=3.0, proposals=5):
         sim,
         net,
         PartitionPlacement(0, ("VA", "WA", "PR")),
-        config=RaftConfig(heartbeat_interval=0.05, election_timeout=None),
-        rng=np.random.default_rng(0),
     )
     for i in range(proposals):
         sim.schedule(0.1 * (i + 1), lambda i=i: group.replicate(("op", i)))
