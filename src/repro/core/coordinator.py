@@ -96,21 +96,8 @@ class NattoCoordinator(CarouselCoordinator):
     # ------------------------------------------------------------------
     # Votes
 
-    def handle_vote(self, payload: Payload, src: str) -> None:
-        state = self.txn_state(payload.txn)
-        if state.client is None:
-            state.client = payload.client
-        if state.participants is None:
-            state.participants = payload.participants
-        if state.decided is not None:
-            return
-        if payload.vote == "no":
-            self._decide(state, False)
-            return
-        state.votes[payload.partition] = NattoVote(
-            payload.epoch, not payload.conditional
-        )
-        self._try_decide(state)
+    def _yes_vote(self, payload: Payload) -> NattoVote:
+        return NattoVote(payload.epoch, not payload.conditional)
 
     def handle_condition_resolved(
         self, payload: ConditionResolved, src: str

@@ -14,7 +14,7 @@ before the client is told "committed".  The coordinator:
 
 Natto's coordinator subclass extends the vote state machine with
 conditional votes and serves RECSF read forwards; the hook points here
-(``_vote_ready``, ``_on_decided``) exist for it.
+(``_yes_vote``, ``_vote_ready``, ``_on_decided``) exist for it.
 """
 
 from __future__ import annotations
@@ -123,8 +123,13 @@ class CarouselCoordinator(ProbeTargetMixin, RaftReplica):
             state.abort_reason = payload.reason
             self._decide(state, False)
             return
-        state.votes[payload.partition] = "yes"
+        state.votes[payload.partition] = self._yes_vote(payload)
         self._try_decide(state)
+
+    def _yes_vote(self, payload: Payload) -> Any:
+        """The record of a yes-vote.  (Natto's adds the vote's epoch and
+        whether it is conditional.)"""
+        return "yes"
 
     def _vote_ready(self, state: CoordinatedTxn, partition: int) -> bool:
         """Is this participant's vote final and positive?  (Natto's

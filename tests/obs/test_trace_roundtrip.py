@@ -117,6 +117,20 @@ def test_aborted_attempts_are_classified(trace_records):
     assert len(classified) / len(aborts) >= 0.99
 
 
+def test_decision_aborts_carry_their_reason(traced_result, trace_records):
+    # A Carousel or Natto coordinator's abort decision records why: a
+    # participant's no-vote or the client's voluntary abort.  2PL+2PC's
+    # coordinator traces no decision_abort event.
+    _, records = trace_records
+    decisions = [
+        r for r in records
+        if r["type"] == "event" and r["name"] == "decision_abort"
+    ]
+    if traced_result.system_name != "2PL+2PC(P)":
+        assert decisions, "contended run should decide aborts"
+    assert [d for d in decisions if d["attrs"]["reason"] == "UNKNOWN"] == []
+
+
 def test_abort_events_match_stats_records(traced_result, trace_records):
     _, records = trace_records
     aborts = [
