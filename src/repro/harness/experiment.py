@@ -103,6 +103,11 @@ class ExperimentResult:
     #: Transactions still in flight when the run stopped: work the
     #: metrics leave out because the drain cap cut it off.
     unfinished: int
+    #: The run's work, read from the layers' always-on counters: kernel
+    #: events fired, and messages and bytes the network sent.
+    events_fired: int
+    messages_sent: int
+    bytes_sent: int
     #: The deployed system object (stores, counters) for post-hoc
     #: inspection; None after serialization.
     system: Optional[TransactionSystem] = None
@@ -138,7 +143,8 @@ class ExperimentResult:
         """A transportable copy: no live ``system``/``tracer`` objects.
 
         The detached result pickles cheaply (the transaction records)
-        and still answers every metric query — parallel workers ship
+        and still answers every metric query and keeps the work
+        counts — parallel workers ship
         these back to the parent, which is why serial and parallel
         sweeps extract identical numbers.
         """
@@ -195,6 +201,9 @@ def run_experiment(
     return ExperimentResult(
         system.name, stats, window, input_rate,
         unfinished=sum(client.inflight for client in clients),
+        events_fired=cluster.sim.events_fired,
+        messages_sent=cluster.network.messages_sent,
+        bytes_sent=cluster.network.bytes_sent,
         system=system, tracer=tracer,
     )
 

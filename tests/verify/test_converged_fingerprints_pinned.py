@@ -14,8 +14,12 @@ fires at this point, so CP behaves exactly like PA.
 
 Every system also runs traced (ids ending in ``-traced``) and must match
 the same pin: recording spans and events changes no decision.
+
+Each run is made once per session (:func:`converged_run`);
+``test_converged_work_counts_pinned.py`` reads the same runs.
 """
 
+import functools
 import json
 import pathlib
 
@@ -49,8 +53,9 @@ def test_every_registered_system_is_pinned():
     assert set(EXPECTED) == set(SYSTEM_FACTORIES)
 
 
-@pytest.mark.parametrize("system, tracing", CASES)
-def test_converged_fingerprint_matches_pinned(system, tracing):
+@functools.lru_cache(maxsize=None)
+def converged_run(system, tracing):
+    """The detached result of ``system``'s run at the converged point."""
     settings = CONVERGED_SCALE.apply(ExperimentSettings()).scaled(
         seed=0, tracing=tracing
     )
@@ -62,7 +67,12 @@ def test_converged_fingerprint_matches_pinned(system, tracing):
         settings=settings,
         repeats=CONVERGED_SCALE.repeats,
     )
-    result = run_point(spec).results[0]
+    return run_point(spec).results[0]
+
+
+@pytest.mark.parametrize("system, tracing", CASES)
+def test_converged_fingerprint_matches_pinned(system, tracing):
+    result = converged_run(system, tracing)
     assert result.unfinished == 0, (
         f"{system} left {result.unfinished} transactions unfinished"
     )
