@@ -2,8 +2,8 @@
 
 Messages carry a method name (dispatched to ``handle_<method>`` on the
 destination node, else to ``handle_message``), a payload, an estimated
-wire size used by the bandwidth pipes and, on an RPC request and its
-reply, the caller's future.  Protocol payloads are
+wire size used by the bandwidth pipes and, on a request that expects a
+reply and on that reply, where the reply goes.  Protocol payloads are
 the classes of :mod:`repro.net.payload`, which precompute their size;
 any other payload (the generic network tests send plain dicts) is sized
 by :func:`estimate_size`, the walk those classes' sizes are defined by.
@@ -24,16 +24,10 @@ needs it at dispatch time anyway (byte accounting + bandwidth pipes).
 
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING, Any, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim import Future
+from typing import Any
 
 #: Fixed per-message overhead (TCP/IP + gRPC framing, roughly).
 HEADER_BYTES = 120
-
-_message_ids = itertools.count(1)
 
 
 def estimate_size(value: Any, _len=len, _str=str, _int=int, _float=float,
@@ -97,13 +91,14 @@ def estimate_size(value: Any, _len=len, _str=str, _int=int, _float=float,
 class Message:
     """One network message.
 
-    ``future`` is set on an RPC request (:meth:`Network.call`) and on
-    its reply, which carries the same future back to the caller;
-    ``reply_to`` is the request's ``msg_id`` on a reply, else None.
+    ``future`` is set on a request that expects a reply and on its
+    reply, which carries it back: the caller's
+    :class:`~repro.sim.Future` (:meth:`Network.call`), or a probe
+    round's sink (:meth:`Network.probe`).  ``reply`` is True on a reply.
     """
 
-    __slots__ = ("method", "payload", "src", "dst", "msg_id", "future",
-                 "reply_to", "wire_size")
+    __slots__ = ("method", "payload", "src", "dst", "future", "reply",
+                 "wire_size")
 
     def __init__(
         self,
@@ -111,16 +106,15 @@ class Message:
         payload: Any,
         src: str,
         dst: str,
-        future: Optional[Future] = None,
-        reply_to: Optional[int] = None,
+        future: Any = None,
+        reply: bool = False,
     ) -> None:
         self.method = method
         self.payload = payload
         self.src = src
         self.dst = dst
-        self.msg_id = next(_message_ids)
         self.future = future
-        self.reply_to = reply_to
+        self.reply = reply
         #: Estimated bytes on the wire (header + payload); computed once
         #: — the payload is never mutated after construction.  Payload
         #: classes (:mod:`repro.net.payload`) precompute their size and
@@ -134,6 +128,6 @@ class Message:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Message #{self.msg_id} {self.method} "
-            f"{self.src}->{self.dst}>"
+            f"<Message {self.method} {self.src}->{self.dst}"
+            f"{' reply' if self.reply else ''}>"
         )

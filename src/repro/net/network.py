@@ -17,7 +17,7 @@ messages when the loss config's link capacity is infinite.  Pipes are
 FIFO queues per ordered datacenter pair, shared by every link between
 the two.
 
-Two primitives:
+Three primitives:
 
 * :meth:`Network.send` — one-way message; dispatched to
   ``handle_<method>`` if the destination defines it, else to
@@ -29,6 +29,22 @@ Two primitives:
   so the network keeps no table of outstanding calls: a request
   expects a reply iff it carries a future, and a dropped request
   leaves nothing behind.
+* :meth:`Network.probe` — a ``probe`` request whose reply lands in a
+  sink (a :class:`~repro.net.probing.ProbeProxy` round) at dispatch.
+
+A probe reply costs what any reply costs up to its arrival time: the
+delay and loss samples, the pipe slot, the fault hold or drop, the FIFO
+floor and ``messages_sent``/``bytes_sent``.  It gets no arrival event:
+the sink keeps ``(arrival, sequence)``, where ``sequence`` is the
+kernel's sequence number at dispatch, and a read of the proxy's window
+at ``(now, s)`` — ``s`` the sequence number of the event doing the
+read — first lands every reply with ``arrival < now``, or
+``arrival == now`` and ``sequence < s``.  Those are exactly the replies
+whose arrival event would have fired before the read, so the window,
+and every decision read from it, is the same as with the event.  This
+holds only because the proxy has zero service time (no CPU admission
+between arrival and handling) and handling a reply only writes the
+window; the proxy refuses to probe otherwise.
 
 Handlers receive ``(payload, src_name)`` and are looked up as
 ``handle_<method>`` on the destination node.  Protocol payloads are the
@@ -199,6 +215,17 @@ class Network:
         self._dispatch(Message(method, payload, src.name, dst_name, future))
         return future
 
+    def probe(self, src: Node, dst_name: str, payload: Any, sink: Any) -> None:
+        """A ``probe`` request whose reply goes to ``sink`` at dispatch.
+
+        The reply is dispatched as any other, but no arrival event is
+        posted for it: ``sink.land(reply, arrival, sequence)`` gets it
+        with its arrival time and the kernel's sequence number at that
+        moment.  Only for a caller with zero service time whose reply
+        handling just records the reply (see the module notes).
+        """
+        self._dispatch(Message("probe", payload, src.name, dst_name, sink))
+
     # ------------------------------------------------------------------
     # Fault injection
 
@@ -294,6 +321,13 @@ class Network:
                     txn=txn,
                     dst=message.dst,
                 ).finish(at=arrival)
+        if message.reply:
+            sink = message.future
+            if sink.__class__ is not Future:
+                # A probe reply: lands now, tagged with the arrival event
+                # it replaces (see the module notes).
+                sink.land(message, arrival, sim._sequence)
+                return
         sim.post_at(arrival, partial(self._arrive, message, link))
 
     def _arrive(self, message: Message, link: _Link) -> None:
@@ -308,7 +342,7 @@ class Network:
 
     def _handle(self, message: Message, link: _Link) -> None:
         future = message.future
-        if message.reply_to is not None:
+        if message.reply:
             # Ignored if the caller's future was resolved another way.
             future.try_set_result(message.payload.result)
             return
@@ -344,6 +378,6 @@ class Network:
                 request.dst,
                 request.src,
                 request.future,
-                request.msg_id,
+                True,
             )
         )

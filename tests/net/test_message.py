@@ -1,4 +1,4 @@
-"""Tests for message sizing and identity."""
+"""Tests for message sizing."""
 
 from repro.net.message import HEADER_BYTES, Message, estimate_size
 
@@ -47,12 +47,6 @@ def test_wire_size_includes_header_and_is_cached():
     # Cached: same object, same answer, no recompute of a mutated dict.
     message.payload["a"] = "x" * 100
     assert message.wire_size == first
-
-
-def test_message_ids_are_unique_and_increasing():
-    a = Message("m", {}, "s", "d")
-    b = Message("m", {}, "s", "d")
-    assert b.msg_id > a.msg_id
 
 
 def test_large_payload_sizes_do_not_recurse():
