@@ -18,6 +18,13 @@ The per-message cost is intentionally coarse: every message costs the
 node's one constant ``service.service_time``, which the network reads
 directly on each arrival.  Calibration lives with the experiments, not
 here.
+
+One node's completion times strictly increase: a task starts at
+``max(now, busy_until)``, costs more than zero, and :meth:`stall_until`
+only moves the cursor forward.  That lets the network keep a node's
+queued completions in one kernel lane (:class:`repro.sim.Lane`), so a
+saturated server costs the event heap one entry, not one per queued
+message.
 """
 
 from __future__ import annotations

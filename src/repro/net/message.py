@@ -95,10 +95,13 @@ class Message:
     reply, which carries it back: the caller's
     :class:`~repro.sim.Future` (:meth:`Network.call`), or a probe
     round's sink (:meth:`Network.probe`).  ``reply`` is True on a reply.
+    ``link`` is the network's link from ``src`` to ``dst``, set when the
+    message is dispatched, so that its arrival and CPU-completion events
+    need nothing beside the message.
     """
 
     __slots__ = ("method", "payload", "src", "dst", "future", "reply",
-                 "wire_size")
+                 "wire_size", "link")
 
     def __init__(
         self,

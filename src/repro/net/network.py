@@ -17,6 +17,18 @@ messages when the loss config's link capacity is infinite.  Pipes are
 FIFO queues per ordered datacenter pair, shared by every link between
 the two.
 
+What a delivery costs the kernel: the arrival event joins the link's
+lane (``_Link.arrivals``, a :class:`~repro.sim.Lane`) and, when the
+destination's CPU is busy, the completion event joins the destination's
+lane (``_Link.cpu``), both through ``Simulator.post_at`` with the
+message as the lane's item (it carries its link in ``Message.link``).
+So no ``partial`` is built per hop, and the event heap holds one entry
+per link with messages in flight and one per busy CPU, not one per
+message.  That is exact: a link's arrivals never go backwards (the FIFO
+floor, faults included), and one node's completions strictly increase
+(its FIFO busy cursor), so the lanes fire in the order and at the times
+that an entry per event would.
+
 Three primitives:
 
 * :meth:`Network.send` — one-way message; dispatched to
@@ -59,7 +71,6 @@ can hold, delay or (blackhole) drop each message.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster.node import Node
@@ -68,7 +79,7 @@ from repro.net.loss import LossConfig, LossModel
 from repro.net.message import Message
 from repro.net.payload import Reply
 from repro.net.topology import Topology
-from repro.sim import Future, Simulator
+from repro.sim import Future, Lane, Simulator
 
 
 class _Pipe:
@@ -93,7 +104,7 @@ class _Link:
     """What every message from one node to another has in common."""
 
     __slots__ = ("dst", "src_dc", "dst_dc", "delay", "pipe", "floor",
-                 "handlers")
+                 "handlers", "arrivals", "cpu")
 
     def __init__(
         self,
@@ -103,6 +114,8 @@ class _Link:
         delay: Optional[float],
         pipe: Optional[_Pipe],
         handlers: Dict[str, Any],
+        arrivals: Lane,
+        cpu: Lane,
     ) -> None:
         self.dst = dst
         self.src_dc = src_dc
@@ -120,6 +133,13 @@ class _Link:
         #: The destination's method -> bound handler, or None for the
         #: ``handle_message`` fallback; shared by every link into it.
         self.handlers = handlers
+        #: The kernel lane of this link's arrival events: the FIFO
+        #: floor keeps their deadlines in send order.
+        self.arrivals = arrivals
+        #: The kernel lane of the destination's CPU completions, shared
+        #: by every link into it: its FIFO busy cursor keeps them in
+        #: admission order.
+        self.cpu = cpu
 
 
 #: method -> "<method>.reply", interned once per method name instead of
@@ -165,6 +185,8 @@ class Network:
         self._links: Dict[str, Dict[str, _Link]] = {}
         # dst name -> method -> handler; see _Link.handlers.
         self._handlers: Dict[str, Dict[str, Any]] = {}
+        # dst name -> CPU-completion lane; see _Link.cpu.
+        self._cpu_lanes: Dict[str, Lane] = {}
         self._pipes: Dict[Tuple[str, str], _Pipe] = {}
         # Declarative fault schedules (repro.faults): when attached, the
         # injector's network-fault state is consulted per message while
@@ -259,8 +281,15 @@ class Network:
                 rtt = self.topology.rtt(src_dc, dst_dc) / 1000.0
                 bandwidth = self.loss.effective_bandwidth(rtt)
                 pipe = self._pipes[(src_dc, dst_dc)] = _Pipe(bandwidth)
+        # The lanes bind _arrive and _handle now, so a wrapper of either
+        # must be installed before the link's first message.
+        sim = self.sim
+        cpu = self._cpu_lanes.get(dst_name)
+        if cpu is None:
+            cpu = self._cpu_lanes[dst_name] = sim.lane(self._handle)
         link = _Link(
-            dst, src_dc, dst_dc, delay, pipe, self._handlers[dst_name]
+            dst, src_dc, dst_dc, delay, pipe, self._handlers[dst_name],
+            sim.lane(self._arrive), cpu,
         )
         self._links[src_name][dst_name] = link
         return link
@@ -328,24 +357,28 @@ class Network:
                 # it replaces (see the module notes).
                 sink.land(message, arrival, sim._sequence)
                 return
-        sim.post_at(arrival, partial(self._arrive, message, link))
+        message.link = link
+        sim.post_at(arrival, message, link.arrivals)
 
-    def _arrive(self, message: Message, link: _Link) -> None:
+    def _arrive(self, message: Message) -> None:
+        link = message.link
         service = link.dst.service
         cost = service.service_time
         if cost > 0.0:
             cpu_delay = service.admission_delay(cost)
             if cpu_delay > 0:
-                self.sim.post(cpu_delay, partial(self._handle, message, link))
+                sim = self.sim
+                sim.post_at(sim._now + cpu_delay, message, link.cpu)
                 return
-        self._handle(message, link)
+        self._handle(message)
 
-    def _handle(self, message: Message, link: _Link) -> None:
+    def _handle(self, message: Message) -> None:
         future = message.future
         if message.reply:
             # Ignored if the caller's future was resolved another way.
             future.try_set_result(message.payload.result)
             return
+        link = message.link
         handlers = link.handlers
         method = message.method
         try:

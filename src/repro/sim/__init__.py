@@ -10,6 +10,8 @@ differences of simulated timestamps, so they measure protocol structure
 Public surface:
 
 * :class:`Simulator` — the event loop (``schedule``, ``spawn``, ``run``).
+* :class:`Lane` — a FIFO of posted events of which only the head sits in
+  the event heap (``Simulator.lane``).
 * :class:`Future` — a one-shot, observable result container.
 * :class:`Process` — a generator-based coroutine driven by the simulator;
   yields delays, futures or other processes.
@@ -19,7 +21,7 @@ Public surface:
 """
 
 from repro.sim.future import Future, all_of, any_of
-from repro.sim.kernel import Simulator, SimulationError, Timer
+from repro.sim.kernel import Lane, Simulator, SimulationError, Timer
 from repro.sim.process import Process
 from repro.sim.randomness import (
     BatchedGeometric,
@@ -33,6 +35,7 @@ __all__ = [
     "BatchedStandardExponential",
     "BatchedUniform",
     "Future",
+    "Lane",
     "Process",
     "RandomStreams",
     "SimulationError",
