@@ -1,6 +1,9 @@
 """Natto's 2PC coordinator: conditional votes, read epochs, RECSF.
 
-Extensions over the Carousel coordinator:
+Extensions over the Carousel coordinator, whose commit-request handler
+it uses unchanged (the request's read epochs land in
+``CoordinatedTxn.write_epochs``; a re-sent request after a failed
+condition bumps ``writes_version``):
 
 * **Vote records** carry an epoch (which read delivery the vote belongs
   to) and an optional condition (the low-priority transactions whose
@@ -20,7 +23,7 @@ Extensions over the Carousel coordinator:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List
 
 from repro.net.payload import (
@@ -45,53 +48,13 @@ class NattoVote:
     firm: bool
 
 
-@dataclass
-class NattoCoordinatedTxn(CoordinatedTxn):
-    """Coordinator-side state of one Natto transaction attempt."""
-
-    votes: Dict[int, NattoVote] = field(default_factory=dict)
-    #: partition -> the read epoch the client's write data was computed
-    #: from; re-sent commit requests overwrite it.
-    write_epochs: Dict[int, int] = field(default_factory=dict)
-    #: Bumped per commit request; only the latest write data's
-    #: replication may let the transaction decide.
-    writes_version: int = 0
-
-
 class NattoCoordinator(CarouselCoordinator):
     """Per-datacenter coordinator with Natto's vote state machine."""
-
-    state_class = NattoCoordinatedTxn
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         #: txn -> queued RECSF forwards awaiting this txn's commit.
         self._recsf_waiters: Dict[str, List[RecsfForward]] = {}
-
-    # ------------------------------------------------------------------
-    # Client messages
-
-    def handle_commit_request(self, payload: Payload, src: str) -> None:
-        state = self.txn_state(payload.txn)
-        state.client = payload.client
-        state.participants = payload.participants
-        state.writes = payload.writes
-        state.write_epochs = payload.epochs
-        if state.decided is not None:
-            return
-        state.writes_version += 1
-        version = state.writes_version
-        state.writes_replicated = False
-        self.propose(("writedata", state.txn, state.writes)).add_done_callback(
-            lambda _: self._writes_version_durable(state, version)
-        )
-
-    def _writes_version_durable(
-        self, state: NattoCoordinatedTxn, version: int
-    ) -> None:
-        if state.writes_version == version:
-            state.writes_replicated = True
-            self._try_decide(state)
 
     # ------------------------------------------------------------------
     # Votes
@@ -117,7 +80,7 @@ class NattoCoordinator(CarouselCoordinator):
             # path will vote again with a higher epoch.
             del state.votes[payload.partition]
 
-    def _vote_ready(self, state: NattoCoordinatedTxn, partition: int) -> bool:
+    def _vote_ready(self, state: CoordinatedTxn, partition: int) -> bool:
         vote = state.votes.get(partition)
         if vote is None or not vote.firm:
             return False

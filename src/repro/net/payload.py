@@ -203,10 +203,12 @@ CommitRequest = payload_class(
 NattoCommitRequest = payload_class(
     "NattoCommitRequest", "Commit request + per-partition read epochs.",
     txn=STR, client=STR, participants=INTS, writes=ESTIMATE, epochs=NUM_MAP,
+    fast_path=Absent(False),
 )
 FastCommitRequest = payload_class(
     "FastCommitRequest", "Carousel Fast: commit + unanimous-fast-path flag.",
     txn=STR, client=STR, participants=INTS, writes=ESTIMATE, fast_path=BOOL,
+    epochs=Absent({}),
 )
 AbortRequest = payload_class(
     "AbortRequest", txn=STR, client=STR, participants=INTS

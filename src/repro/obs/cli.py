@@ -21,7 +21,7 @@ import sys
 from collections import Counter, defaultdict
 from typing import Dict, List, Optional
 
-from repro.obs.export import chrome_trace_from_records, read_jsonl
+from repro.obs.export import chrome_trace_from_records, read_jsonl, root_txn
 
 
 def _ms(seconds: float) -> str:
@@ -37,13 +37,6 @@ def _percentile(values: List[float], q: float) -> float:
     high = min(low + 1, len(values) - 1)
     frac = rank - low
     return values[low] * (1.0 - frac) + values[high] * frac
-
-
-def _root_txn(txn: Optional[str]) -> str:
-    if not txn:
-        return ""
-    head, _, tail = txn.rpartition(".")
-    return head if head and tail.isdigit() else txn
 
 
 class TraceFile:
@@ -77,7 +70,7 @@ class TraceFile:
         return str(self.meta.get("system", self.path))
 
     def priority_of(self, txn: Optional[str]) -> str:
-        root = self.roots.get(_root_txn(txn))
+        root = self.roots.get(root_txn(txn))
         if root is None:
             return "?"
         return str((root.get("attrs") or {}).get("priority", "?"))
@@ -86,7 +79,7 @@ class TraceFile:
         """All spans/events belonging to one logical transaction."""
         out = []
         for record in self.spans + self.events:
-            if _root_txn(record.get("txn")) == txn_id:
+            if root_txn(record.get("txn")) == txn_id:
                 out.append(record)
         return out
 

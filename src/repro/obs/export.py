@@ -85,8 +85,9 @@ def parse_jsonl_lines(lines: Iterable[str]) -> List[dict]:
 # Chrome trace_event
 
 
-def _root_txn(txn: Optional[str]) -> str:
-    """Attempt ids look like ``<txn_id>.<n>``; group lanes by txn id."""
+def root_txn(txn: Optional[str]) -> str:
+    """The logical transaction id of an attempt id (``<txn_id>.<n>``):
+    Chrome lanes and the trace CLI group attempts by it."""
     if not txn:
         return ""
     head, _, tail = txn.rpartition(".")
@@ -115,7 +116,7 @@ def chrome_trace_from_records(
         return pids[name]
 
     def tid_for(txn: Optional[str]) -> int:
-        root = _root_txn(txn)
+        root = root_txn(txn)
         if root not in tids:
             tids[root] = len(tids)
         return tids[root]

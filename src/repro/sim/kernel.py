@@ -36,8 +36,10 @@ Design notes
   is skipped when popped.  This keeps ``schedule`` and ``cancel`` O(log n)
   and O(1) respectively.  The kernel counts cancelled-but-still-heaped
   entries and compacts the heap once they outnumber the live ones, so
-  workloads that cancel most of their timers (retry timeouts, lease
-  guards) don't grow the heap without bound.
+  a caller that cancels most of its timers does not grow the heap
+  without bound.  Two callers cancel: a Natto participant re-arming its
+  dispatch timer whenever its queue head changes, and
+  ``RaftReplica.pause_heartbeats``.
 * Time is a float in **seconds**.  All delay models and protocol
   parameters use seconds; reporting code converts to milliseconds.
 * There is one event loop, :meth:`Simulator.run`, traced or not.  The

@@ -5,7 +5,10 @@ a transaction's write data and commit decision are fault-tolerant
 before the client is told "committed".  The coordinator:
 
 * receives the client's write data + commit request, replicates the
-  write data to its followers;
+  write data to its followers (one handler serves every system's
+  request: Carousel Fast's adds the fast-path flag, Natto's the read
+  epochs and re-sends after a failed condition, so only the latest
+  request's replication may let the transaction decide);
 * collects per-participant votes (any *no* aborts immediately);
 * decides once every participant voted yes **and** the write data is
   replicated;
@@ -43,8 +46,15 @@ class CoordinatedTxn:
     txn: str
     client: Optional[str] = None
     participants: Optional[List[int]] = None
-    votes: Dict[int, str] = field(default_factory=dict)
+    #: partition -> the record of its yes-vote (see ``_yes_vote``).
+    votes: Dict[int, Any] = field(default_factory=dict)
     writes: Optional[Dict[str, str]] = None
+    #: partition -> the read epoch the client's write data was computed
+    #: from (Natto); a re-sent commit request overwrites it.
+    write_epochs: Dict[int, int] = field(default_factory=dict)
+    #: Bumped per commit request; only the latest write data's
+    #: replication may let the transaction decide.
+    writes_version: int = 0
     writes_replicated: bool = False
     skip_prepare_wait: bool = False  # Carousel Fast's unanimous fast path
     decided: Optional[bool] = None
@@ -55,9 +65,6 @@ class CoordinatedTxn:
 class CarouselCoordinator(ProbeTargetMixin, RaftReplica):
     """Leader (and follower) replica of one per-datacenter coordinator
     group."""
-
-    #: The per-attempt state record; Natto's adds vote epochs.
-    state_class = CoordinatedTxn
 
     def __init__(
         self,
@@ -74,7 +81,7 @@ class CarouselCoordinator(ProbeTargetMixin, RaftReplica):
     def txn_state(self, txn: str) -> CoordinatedTxn:
         state = self.txns.get(txn)
         if state is None:
-            state = self.state_class(txn)
+            state = CoordinatedTxn(txn)
             self.txns[txn] = state
         return state
 
@@ -86,13 +93,17 @@ class CarouselCoordinator(ProbeTargetMixin, RaftReplica):
         state.client = payload.client
         state.participants = payload.participants
         state.writes = payload.writes
+        state.write_epochs = payload.epochs
         state.skip_prepare_wait = payload.fast_path
         if state.decided is not None:
             # Already aborted by an early no-vote; the client has been
             # (or is being) notified via the decision event.
             return
+        state.writes_version += 1
+        version = state.writes_version
+        state.writes_replicated = False
         self.propose(("writedata", state.txn, state.writes)).add_done_callback(
-            lambda _: self._writes_durable(state)
+            lambda _: self._writes_durable(state, version)
         )
 
     def handle_abort_request(self, payload: AbortRequest, src: str) -> None:
@@ -104,9 +115,10 @@ class CarouselCoordinator(ProbeTargetMixin, RaftReplica):
             state.abort_reason = str(AbortReason.VOLUNTARY)
             self._decide(state, False)
 
-    def _writes_durable(self, state: CoordinatedTxn) -> None:
-        state.writes_replicated = True
-        self._try_decide(state)
+    def _writes_durable(self, state: CoordinatedTxn, version: int) -> None:
+        if state.writes_version == version:
+            state.writes_replicated = True
+            self._try_decide(state)
 
     # ------------------------------------------------------------------
     # Participant votes

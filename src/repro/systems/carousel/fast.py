@@ -66,9 +66,7 @@ class FastParticipant(CarouselParticipant):
         reads = payload.reads
         writes = payload.writes
         if not self.prepared.is_free(reads, writes):
-            self.prepares_refused += 1
             return self._refusal(txn, AbortReason.OCC_CONFLICT)
-        self.prepares_ok += 1
         self.prepared.add(txn, reads, writes)
         values = {key: self.store.read(key).value for key in reads}
         return ReadOk(values)

@@ -25,7 +25,7 @@ the no-vote come from :class:`~repro.systems.base.RaftParticipant`.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any
 
 from repro.net.payload import (
     CarouselReadAndPrepare,
@@ -44,11 +44,6 @@ class CarouselParticipant(RaftParticipant):
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self.prepared = PreparedSet()
-        #: attempt id -> metadata for transactions prepared here.
-        self.txn_meta: Dict[str, dict] = {}
-        # Counters for tests and reports.
-        self.prepares_ok = 0
-        self.prepares_refused = 0
 
     # ------------------------------------------------------------------
     # Read-and-prepare (round 1)
@@ -63,16 +58,9 @@ class CarouselParticipant(RaftParticipant):
         reads = payload.reads
         writes = payload.writes
         if not self.prepared.is_free(reads, writes):
-            self.prepares_refused += 1
             self._vote_no(payload, AbortReason.OCC_CONFLICT)
             return self._refusal(txn, AbortReason.OCC_CONFLICT)
-        self.prepares_ok += 1
         self.prepared.add(txn, reads, writes)
-        self.txn_meta[txn] = {
-            "coordinator": payload.coordinator,
-            "client": payload.client,
-            "participants": payload.participants,
-        }
         values = {key: self.store.read(key).value for key in reads}
         self.propose(("prepare", txn)).add_done_callback(
             lambda _: self._vote_yes(payload)
@@ -114,9 +102,8 @@ class CarouselParticipant(RaftParticipant):
         )
 
     def release(self, txn: str) -> None:
-        """Drop prepared marks; hook point for Natto's waiter wake-up."""
+        """Drop prepared marks (an outcome, or Fast's follower apply)."""
         self.prepared.remove(txn)
-        self.txn_meta.pop(txn, None)
         self._rap_seen.discard(txn)
 
     # ------------------------------------------------------------------

@@ -170,7 +170,6 @@ class TwoPLParticipant(RaftParticipant):
             self._refusal(txn, AbortReason.PREEMPTED)
             self._vote_no(payload, AbortReason.PREEMPTED)
             return
-        meta["prepared"] = True
         self.propose(("prepare", txn, payload.writes)).add_done_callback(
             lambda _: self._network.send(
                 self,
