@@ -1,6 +1,6 @@
 """Cluster substrate: per-node clocks and the node/service-time model.
 
-* :mod:`repro.cluster.clock` — skewed, drifting clocks with an NTP-like
+* :mod:`repro.cluster.clock` — skewed clocks with an NTP-like
   loose synchronization bound (Natto only assumes loose sync).
 * :mod:`repro.cluster.node` — base class for simulated machines with a
   single-core service-time model (messages queue FIFO behind a busy

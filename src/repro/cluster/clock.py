@@ -3,11 +3,11 @@
 Natto assumes clients and servers keep their clocks loosely synchronized
 (e.g. with NTP).  We model each node's clock as::
 
-    clock.now() = sim.now + offset + drift_ppm * 1e-6 * sim.now
+    clock.now() = sim.now + offset
 
-with ``offset`` drawn uniformly from ``[-max_offset, +max_offset]`` and a
-small constant frequency drift.  An optional periodic sync step pulls the
-effective offset back inside the bound, emulating an NTP discipline loop.
+with ``offset`` drawn uniformly from ``[-max_offset, +max_offset]``.  An
+optional periodic sync step redraws the offset inside ``sync_error``,
+emulating an NTP discipline loop.
 
 Domino-style one-way-delay estimation (``server_receive_clock_time -
 client_send_clock_time``) deliberately *includes* the relative clock skew
@@ -32,14 +32,12 @@ class ClockConfig:
 
     Attributes:
         max_offset: bound (seconds) on the initial offset magnitude.
-        drift_ppm: constant frequency error, parts-per-million.
         sync_interval: period (seconds) of the NTP-like discipline step;
             ``0`` disables periodic sync.
         sync_error: residual offset magnitude (seconds) after a sync step.
     """
 
     max_offset: float = 0.001
-    drift_ppm: float = 0.0
     sync_interval: float = 0.0
     sync_error: float = 0.0005
 
@@ -59,7 +57,6 @@ class Clock:
         self._offset = float(
             self._rng.uniform(-config.max_offset, config.max_offset)
         )
-        self._drift = config.drift_ppm * 1e-6
         #: Additive fault-injected skew (seconds), layered on top of the
         #: NTP-disciplined offset so a sync step during a skew spike
         #: neither hides nor doubles the fault — the injector sets and
@@ -71,12 +68,11 @@ class Clock:
     @property
     def offset(self) -> float:
         """Current total offset relative to true simulated time."""
-        return self._offset + self._drift * self._sim._now + self.fault_skew
+        return self._offset + self.fault_skew
 
     def now(self) -> float:
         """This node's current clock reading (seconds)."""
-        sim_now = self._sim._now
-        return sim_now + self._offset + self._drift * sim_now + self.fault_skew
+        return self._sim._now + self._offset + self.fault_skew
 
     def until(self, clock_time: float) -> float:
         """Simulated-time delay until this clock reads ``clock_time``.
@@ -87,10 +83,8 @@ class Clock:
         return max(0.0, clock_time - self.now())
 
     def _sync_step(self) -> None:
-        # NTP discipline: snap the accumulated offset (base + drift so
-        # far) back inside the residual error bound.
+        # NTP discipline: snap the offset back inside the residual
+        # error bound.
         error = self._config.sync_error
-        self._offset = float(self._rng.uniform(-error, error)) - (
-            self._drift * self._sim.now
-        )
+        self._offset = float(self._rng.uniform(-error, error))
         self._sim.schedule(self._config.sync_interval, self._sync_step)

@@ -72,14 +72,6 @@ class ServiceModel:
         if when > self._busy_until:
             self._busy_until = when
 
-    @property
-    def busy_until(self) -> float:
-        return self._busy_until
-
-    def utilization_ahead(self) -> float:
-        """Seconds of queued work not yet drained (0 when idle)."""
-        return max(0.0, self._busy_until - self._sim.now)
-
 
 class Node:
     """Base class for simulated machines.

@@ -25,14 +25,6 @@ class PartitionPlacement:
     partition_id: int
     datacenters: tuple
 
-    @property
-    def leader_datacenter(self) -> str:
-        return self.datacenters[0]
-
-    @property
-    def follower_datacenters(self) -> tuple:
-        return self.datacenters[1:]
-
 
 def place_partitions(
     datacenters: Sequence[str],

@@ -39,7 +39,7 @@ from repro.net.payload import (
     NattoReadAndPrepare,
     Payload,
 )
-from repro.net.probing import ClientDelayView, ProbeProxy, ProxyDirectory
+from repro.net.probing import ClientDelayView, ProbeProxy
 from repro.sim import Future, any_of
 from repro.systems.carousel.basic import CarouselBasic
 from repro.txn.transaction import TransactionSpec
@@ -54,7 +54,8 @@ class Natto(CarouselBasic):
     def __init__(self, config: NattoConfig = NattoConfig()) -> None:
         self.natto_config = config
         self.name = config.variant_name
-        self.proxies = ProxyDirectory()
+        #: Each datacenter's client view of its probe proxy.
+        self.views: Dict[str, ClientDelayView] = {}
         self._assigners: Dict[str, TimestampAssigner] = {}
 
     # ------------------------------------------------------------------
@@ -70,6 +71,7 @@ class Natto(CarouselBasic):
         """One probe proxy (and client view) per datacenter (§4)."""
         cluster = self.cluster
         targets = list(self.leader_names.values())
+        proxies = []
         for dc in cluster.topology.datacenters:
             proxy = ProbeProxy(
                 cluster.sim,
@@ -77,21 +79,21 @@ class Natto(CarouselBasic):
                 dc,
                 targets,
                 interval=cluster.config.probe_interval,
-                window=cluster.config.probe_window,
             )
             proxy.clock = cluster.make_clock(proxy.name)
-            view = ClientDelayView(
-                cluster.sim, proxy, cluster.config.client_view_refresh
-            )
-            self.proxies.add(proxy, view)
-        self.proxies.start_all()
+            self.views[dc] = ClientDelayView(cluster.sim, proxy)
+            proxies.append(proxy)
+        # Every proxy and view exists before any proxy starts: that
+        # order fixes the kernel's sequence numbers.
+        for proxy in proxies:
+            proxy.start()
         self._leader_dcs = {
             pid: group.leader.datacenter for pid, group in self.groups.items()
         }
 
     def on_client_created(self, client) -> None:
         self._assigners[client.name] = TimestampAssigner(
-            self.proxies.view(client.datacenter),
+            self.views[client.datacenter],
             self.cluster.topology,
             client.datacenter,
             margin=self.natto_config.timestamp_margin,

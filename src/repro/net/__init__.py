@@ -3,8 +3,8 @@
 * :mod:`repro.net.topology` — datacenter sets and round-trip delay
   matrices: the paper's Table 1 Azure matrix, the hybrid AWS+Azure
   deployment of Figure 13, and the 3-DC local cluster of Figure 14.
-* :mod:`repro.net.delay` — one-way delay models: constant, uniform
-  jitter, and the Pareto model used for the Figure 11 variance sweep.
+* :mod:`repro.net.delay` — one-way delay models: constant, and the
+  Pareto model used for the Figure 11 variance sweep.
 * :mod:`repro.net.loss` — packet loss: per-message geometric
   retransmission with a TCP-like RTO, plus a Mathis-formula bandwidth
   cap that makes throughput collapse under loss (Figure 12).
@@ -20,13 +20,12 @@ from repro.net.delay import (
     ConstantDelay,
     DelayModel,
     ParetoDelay,
-    UniformJitterDelay,
     make_delay_model,
 )
 from repro.net.loss import LossConfig, LossModel, mathis_throughput
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.net.probing import DelayEstimate, ProbeProxy, ProxyDirectory
+from repro.net.probing import ProbeProxy
 from repro.net.topology import (
     AZURE_DATACENTERS,
     AZURE_RTT_MS,
@@ -40,7 +39,6 @@ __all__ = [
     "AZURE_DATACENTERS",
     "AZURE_RTT_MS",
     "ConstantDelay",
-    "DelayEstimate",
     "DelayModel",
     "LossConfig",
     "LossModel",
@@ -48,9 +46,7 @@ __all__ = [
     "Network",
     "ParetoDelay",
     "ProbeProxy",
-    "ProxyDirectory",
     "Topology",
-    "UniformJitterDelay",
     "azure_topology",
     "hybrid_cloud_topology",
     "local_cluster_topology",

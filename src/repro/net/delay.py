@@ -1,6 +1,6 @@
 """One-way delay models.
 
-The paper's experiments use three delay regimes:
+The paper's experiments use two delay regimes:
 
 * **Stable** (Azure): variance below 0.1% of the mean — effectively
   constant.  :class:`ConstantDelay`.
@@ -8,7 +8,6 @@ The paper's experiments use three delay regimes:
   distribution with a configured coefficient of variation (the paper's
   "network delay variance" is std/mean).  :class:`ParetoDelay` solves the
   Pareto shape parameter from the requested CV in closed form.
-* **Mild uniform jitter** for tests and examples.  :class:`UniformJitterDelay`.
 
 All models return one-way delays in seconds given the topology's base
 one-way delay for the datacenter pair.
@@ -22,15 +21,13 @@ from typing import Protocol
 import numpy as np
 
 from repro.net.topology import Topology
-from repro.sim.randomness import BatchedStandardExponential, BatchedUniform
+from repro.sim.randomness import BatchedStandardExponential
 
 
 class DelayModel(Protocol):
     """Samples a one-way delay (seconds) between two datacenters."""
 
     def sample(self, src_dc: str, dst_dc: str) -> float: ...
-
-    def mean(self, src_dc: str, dst_dc: str) -> float: ...
 
 
 class ConstantDelay:
@@ -51,40 +48,6 @@ class ConstantDelay:
         if delay is None:
             delay = self._cache[key] = self._topology.one_way(src_dc, dst_dc)
         return delay
-
-    def mean(self, src_dc: str, dst_dc: str) -> float:
-        return self.sample(src_dc, dst_dc)
-
-
-class UniformJitterDelay:
-    """Base delay times a uniform factor in ``[1, 1 + jitter]``."""
-
-    def __init__(
-        self,
-        topology: Topology,
-        rng: np.random.Generator,
-        jitter: float = 0.02,
-    ) -> None:
-        if jitter < 0:
-            raise ValueError("jitter must be non-negative")
-        self._topology = topology
-        self._rng = rng
-        # The delay stream is exclusive to this model, so uniforms can
-        # be pulled from blocks: uniform(0, h) is h * U[0, 1) exactly.
-        self._uniform = BatchedUniform(rng)
-        self._jitter = jitter
-
-    def sample(self, src_dc: str, dst_dc: str) -> float:
-        base = self._topology.one_way(src_dc, dst_dc)
-        scale = self._topology.jitter_multiplier(src_dc, dst_dc)
-        return base * (
-            1.0 + self._jitter * scale * self._uniform.random()
-        )
-
-    def mean(self, src_dc: str, dst_dc: str) -> float:
-        base = self._topology.one_way(src_dc, dst_dc)
-        scale = self._topology.jitter_multiplier(src_dc, dst_dc)
-        return base * (1.0 + self._jitter * scale / 2.0)
 
 
 def pareto_shape_for_cv(cv: float) -> float:
@@ -134,9 +97,6 @@ class ParetoDelay:
         x_m = base * (alpha - 1.0) / alpha
         # numpy's pareto() samples (X/x_m - 1); rescale back.
         return x_m * (1.0 + math.expm1(self._exp.next() / alpha))
-
-    def mean(self, src_dc: str, dst_dc: str) -> float:
-        return self._topology.one_way(src_dc, dst_dc)
 
 
 def make_delay_model(

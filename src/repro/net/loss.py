@@ -30,7 +30,7 @@ from repro.sim.randomness import BatchedGeometric
 DEFAULT_RTO_SECONDS = 0.2
 
 #: Typical maximum segment size on WAN paths (bytes).
-DEFAULT_MSS_BYTES = 1460
+MSS_BYTES = 1460
 
 #: Mathis constant for random loss with delayed ACKs.
 MATHIS_CONSTANT = 1.22
@@ -39,7 +39,6 @@ MATHIS_CONSTANT = 1.22
 def mathis_throughput(
     loss_rate: float,
     rtt_seconds: float,
-    mss_bytes: int = DEFAULT_MSS_BYTES,
     cap_bytes_per_s: float = float("inf"),
 ) -> float:
     """Sustained TCP throughput (bytes/second) under random loss.
@@ -49,7 +48,7 @@ def mathis_throughput(
     """
     if loss_rate <= 0.0:
         return cap_bytes_per_s
-    bound = MATHIS_CONSTANT * mss_bytes / (rtt_seconds * math.sqrt(loss_rate))
+    bound = MATHIS_CONSTANT * MSS_BYTES / (rtt_seconds * math.sqrt(loss_rate))
     return min(cap_bytes_per_s, bound)
 
 
@@ -60,7 +59,6 @@ class LossConfig:
     Attributes:
         loss_rate: per-segment loss probability (0.015 == 1.5%).
         rto: retransmission delay added per lost transmission attempt.
-        mss_bytes: segment size used in the Mathis bound.
         link_capacity_bytes_per_s: loss-free per-pair capacity share.
             The paper's local cluster uses a 1 Gbps network shared by
             15 servers; the default approximates one flow's share.
@@ -68,7 +66,6 @@ class LossConfig:
 
     loss_rate: float = 0.0
     rto: float = DEFAULT_RTO_SECONDS
-    mss_bytes: int = DEFAULT_MSS_BYTES
     link_capacity_bytes_per_s: float = 8e6
 
     def effective_bandwidth(self, rtt_seconds: float) -> float:
@@ -76,7 +73,6 @@ class LossConfig:
         return mathis_throughput(
             self.loss_rate,
             max(rtt_seconds, 1e-4),
-            self.mss_bytes,
             self.link_capacity_bytes_per_s,
         )
 

@@ -16,6 +16,8 @@ and maps each field, in order, to one of these size rules:
 - ``INTS``: a list of ints, 8 bytes each;
 - ``NUM_MAP``: an ``{int: number}`` map, 16 bytes per item;
 - ``STR_INT_MAP``: a ``{str: int}`` map, key lengths + 8 bytes per item;
+- ``ENTRIES``: a list of Raft :class:`~repro.raft.log.LogEntry` objects,
+  the sum of their precomputed ``wire_size``;
 - ``ESTIMATE``: :func:`~repro.net.message.estimate_size` of the value
   (1 for ``None``, 0 for ``[]``, a nested payload's own ``wire_size``);
 - ``NESTED``: the same number, read straight off a nested payload (an
@@ -45,6 +47,7 @@ sender share one payload object across a fan-out.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, NamedTuple
 
 from repro.net.message import estimate_size
@@ -60,8 +63,15 @@ OPT_STRS = "(1 if {0} is None else sum(map(len, {0})))"
 INTS = "8 * len({0})"
 NUM_MAP = "16 * len({0})"
 STR_INT_MAP = "sum(map(len, {0})) + 8 * len({0})"
+ENTRIES = "sum(map(_wire_size, {0}))"
 ESTIMATE = "estimate_size({0})"
 NESTED = '(getattr({0}, "wire_size", None) or estimate_size({0}))'
+
+#: The names the size rules call.
+_RULE_GLOBALS = {
+    "estimate_size": estimate_size,
+    "_wire_size": attrgetter("wire_size"),
+}
 
 
 class Fixed(NamedTuple):
@@ -120,7 +130,7 @@ def payload_class(name: str, doc: str = "", **fields: Any) -> type:
         ", ".join(["self", *params]), "\n    ".join(body)
     )
     scope: dict = {}
-    exec(source, {"estimate_size": estimate_size}, scope)
+    exec(source, _RULE_GLOBALS, scope)
     init = scope["__init__"]
     init.__qualname__ = f"{name}.__init__"
     namespace.update(
@@ -137,7 +147,7 @@ Reply = payload_class("Reply", "The RPC reply wrapper.", result=NESTED)
 # Raft (repro.raft.node)
 AppendEntries = payload_class(
     "AppendEntries", term=NUM, leader=STR, prev_index=NUM, prev_term=NUM,
-    entries=ESTIMATE, leader_commit=NUM,
+    entries=ENTRIES, leader_commit=NUM,
 )
 AppendEntriesResponse = payload_class(
     "AppendEntriesResponse", term=NUM, success=BOOL, follower=STR,

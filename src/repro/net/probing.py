@@ -2,8 +2,9 @@
 
 One :class:`ProbeProxy` runs per datacenter.  It probes every partition
 leader every ``interval`` seconds (the paper uses 10 ms), keeps the
-samples from a sliding window (the paper uses 1 s), and estimates the
-one-way delay to each leader as the window's 95th percentile.
+samples from the paper's 1 s sliding window (:data:`WINDOW_SECONDS`),
+and estimates the one-way delay to each leader as the window's 95th
+percentile (:data:`PERCENTILE`).
 
 A delay sample is ``server_receive_clock_time - proxy_send_clock_time``:
 it deliberately *includes* the relative clock skew between proxy and
@@ -24,16 +25,15 @@ pending ``(arrival, sequence, sample)`` entries, in arrival order,
 where ``sequence`` is the kernel's sequence number at dispatch.
 
 The landing rule: every read of the window (:meth:`ProbeProxy.estimate`,
-:meth:`~ProbeProxy.summary`, :meth:`~ProbeProxy.estimates`, a view
-refresh) and every probe round first moves into the window exactly the
-pending samples whose arrival event would have fired before it: arrival
-earlier than the read's instant, or at that instant with a lower
-sequence number than the reading event's.  A view refresh and a probe
-round know their own event's sequence number.  The public reads are
-meant for code outside the event loop (after
-:meth:`~repro.sim.Simulator.run` returns) and land everything that has
-arrived by ``sim.now``.  The window is then the same as with an arrival
-event per reply, because the proxy has zero service time (no CPU
+a view refresh) and every probe round first moves into the window
+exactly the pending samples whose arrival event would have fired before
+it: arrival earlier than the read's instant, or at that instant with a
+lower sequence number than the reading event's.  A view refresh and a
+probe round know their own event's sequence number.
+:meth:`ProbeProxy.estimate` is meant for code outside the event loop
+(after :meth:`~repro.sim.Simulator.run` returns) and lands everything
+that has arrived by ``sim.now``.  The window is then the same as with
+an arrival event per reply, because the proxy has zero service time (no CPU
 admission between arrival and handling; :meth:`ProbeProxy._probe_all`
 refuses to probe otherwise) and handling a reply only writes the window.
 Each target's window is also kept sorted by value with :mod:`bisect`,
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster.node import Node
@@ -56,15 +55,17 @@ from repro.sim import Simulator
 #: after every event, so every sample that has arrived by now lands.
 _OUTSIDE = float("inf")
 
+#: Seconds of samples an estimate covers (the paper's 1 s window).
+WINDOW_SECONDS = 1.0
 
-@dataclass(frozen=True)
-class DelayEstimate:
-    """Summary of one proxy->target delay distribution window."""
+#: The window's percentile that estimates a one-way delay (the p95).
+PERCENTILE = 95.0
 
-    target: str
-    p95: float
-    mean: float
-    samples: int
+
+def _quantile(values: List[float]) -> float:
+    """The :data:`PERCENTILE` of a sorted window."""
+    index = int(len(values) * PERCENTILE / 100.0)
+    return values[min(len(values) - 1, index)]
 
 
 class ProbeTargetMixin:
@@ -92,10 +93,10 @@ class _Window:
         #: The window's samples, sorted.
         self.values: List[float] = []
 
-    def land(self, now: float, sequence: float, span: float) -> None:
+    def land(self, now: float, sequence: float) -> None:
         """Move in the pending samples that arrived before the event
         with ``sequence`` at ``now``; then drop samples older than
-        ``span`` before the last one landed."""
+        :data:`WINDOW_SECONDS` before the last one landed."""
         pending = self.pending
         if not pending:
             return
@@ -111,7 +112,7 @@ class _Window:
             samples.append((arrival, head[2]))
             insort(values, head[2])
         if arrival is not None:
-            cutoff = arrival - span
+            cutoff = arrival - WINDOW_SECONDS
             while samples[0][0] < cutoff:
                 del values[bisect_left(values, samples.popleft()[1])]
 
@@ -142,15 +143,11 @@ class ProbeProxy(Node):
         datacenter: str,
         targets: Iterable[str],
         interval: float = 0.010,
-        window: float = 1.0,
-        percentile: float = 95.0,
     ) -> None:
         super().__init__(sim, f"proxy-{datacenter}", datacenter)
         self._network = network
         self._targets = list(targets)
         self._interval = interval
-        self._span = window
-        self._percentile = percentile
         self._windows: Dict[str, _Window] = {
             t: _Window() for t in self._targets
         }
@@ -161,11 +158,6 @@ class ProbeProxy(Node):
     def start(self) -> None:
         """Begin the periodic probe loop."""
         self._probe_all()
-
-    def add_target(self, target: str) -> None:
-        if target not in self._windows:
-            self._targets.append(target)
-            self._windows[target] = _Window()
 
     def _probe_all(self) -> None:
         if self.service.service_time != 0.0:
@@ -191,17 +183,8 @@ class ProbeProxy(Node):
 
     def _land(self, sequence: float) -> None:
         now = self.sim._now
-        span = self._span
         for window in self._windows.values():
-            window.land(now, sequence, span)
-
-    def _quantile(self, values: List[float]) -> float:
-        """The configured percentile of a sorted window."""
-        index = min(
-            len(values) - 1,
-            int(len(values) * self._percentile / 100.0),
-        )
-        return values[index]
+            window.land(now, sequence)
 
     def _estimates(self, sequence: float) -> Dict[str, float]:
         self._land(sequence)
@@ -210,35 +193,16 @@ class ProbeProxy(Node):
         for target in self._targets:
             values = windows[target].values
             if values:
-                out[target] = self._quantile(values)
+                out[target] = _quantile(values)
         return out
-
-    # ------------------------------------------------------------------
-    # Queries, from outside the event loop (see the module notes)
 
     def estimate(self, target: str) -> Optional[float]:
         """p95 one-way delay (seconds, skew-inclusive) or None if no data."""
         window = self._windows.get(target)
         if window is None:
             return None
-        window.land(self.sim._now, _OUTSIDE, self._span)
-        return self._quantile(window.values) if window.values else None
-
-    def summary(self, target: str) -> Optional[DelayEstimate]:
-        p95 = self.estimate(target)
-        if p95 is None:
-            return None
-        values = [sample for _, sample in self._windows[target].samples]
-        return DelayEstimate(
-            target=target,
-            p95=p95,
-            mean=sum(values) / len(values),
-            samples=len(values),
-        )
-
-    def estimates(self) -> Dict[str, float]:
-        """Current p95 estimate for every target with data."""
-        return self._estimates(_OUTSIDE)
+        window.land(self.sim._now, _OUTSIDE)
+        return _quantile(window.values) if window.values else None
 
 
 class ClientDelayView:
@@ -272,35 +236,3 @@ class ClientDelayView:
     def estimate(self, target: str) -> Optional[float]:
         """Cached p95 one-way delay to ``target`` (seconds), or None."""
         return self._cache.get(target)
-
-    def max_estimate(self, targets: Iterable[str]) -> Optional[float]:
-        """Largest cached estimate across ``targets``; None if any missing."""
-        values = []
-        for target in targets:
-            value = self._cache.get(target)
-            if value is None:
-                return None
-            values.append(value)
-        return max(values) if values else None
-
-
-class ProxyDirectory:
-    """All proxies and client views in a deployment, keyed by datacenter."""
-
-    def __init__(self) -> None:
-        self._proxies: Dict[str, ProbeProxy] = {}
-        self._views: Dict[str, ClientDelayView] = {}
-
-    def add(self, proxy: ProbeProxy, view: ClientDelayView) -> None:
-        self._proxies[proxy.datacenter] = proxy
-        self._views[proxy.datacenter] = view
-
-    def proxy(self, datacenter: str) -> ProbeProxy:
-        return self._proxies[datacenter]
-
-    def view(self, datacenter: str) -> ClientDelayView:
-        return self._views[datacenter]
-
-    def start_all(self) -> None:
-        for proxy in self._proxies.values():
-            proxy.start()

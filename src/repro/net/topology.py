@@ -75,10 +75,6 @@ class Topology:
         pair = (a, b) if (a, b) in self.jitter_scale else (b, a)
         return float(self.jitter_scale.get(pair, 1.0))
 
-    def max_one_way_from(self, origin: str, targets: Sequence[str]) -> float:
-        """Largest one-way delay from ``origin`` to any of ``targets``."""
-        return max(self.one_way(origin, t) for t in targets)
-
 
 def azure_topology() -> Topology:
     """The paper's default 5-datacenter Azure deployment (Table 1)."""

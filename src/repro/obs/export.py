@@ -77,10 +77,6 @@ def read_jsonl(path: str) -> List[dict]:
     return records
 
 
-def parse_jsonl_lines(lines: Iterable[str]) -> List[dict]:
-    return [json.loads(line) for line in lines if line.strip()]
-
-
 # ----------------------------------------------------------------------
 # Chrome trace_event
 

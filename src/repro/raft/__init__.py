@@ -9,13 +9,14 @@ round, so the cost structure here matters:
   has it — i.e. one round trip to the **nearest majority** of followers;
 * committed entries are applied in log order on every replica.
 
-:class:`ReplicationGroup` is the facade the transaction systems use:
-``group.replicate(payload) -> Future`` resolves when the entry commits
-at the leader.  The paper's experiments run failure-free with
-pre-designated leaders ("our prototypes do not implement fault
-recovery"), so the leader is fixed: the group's first replica leads
-from construction, every replica stays in term 1, and there are no
-elections.
+:class:`ReplicationGroup` holds one partition's replicas; a system
+proposes through ``group.leader``, whose
+:meth:`~repro.raft.node.RaftReplica.propose` returns a Future that
+resolves when the entry commits.  The paper's experiments run
+failure-free with pre-designated leaders ("our prototypes do not
+implement fault recovery"), so the leader is fixed: the group's first
+replica leads from construction, every replica stays in term 1, and
+there are no elections.
 """
 
 from repro.raft.log import LogEntry, RaftLog

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.node import Node
 from repro.net.network import Network
@@ -52,13 +52,11 @@ class RaftReplica(Node):
         name: str,
         datacenter: str,
         peers: List[str],
-        apply_callback: Optional[Callable[[Any, int], None]] = None,
         **node_kwargs: Any,
     ) -> None:
         super().__init__(sim, name, datacenter, **node_kwargs)
         self._network = network
         self.peers = [p for p in peers if p != name]
-        self.apply_callback = apply_callback
 
         self.role = Role.FOLLOWER
         self.current_term = 1
@@ -303,6 +301,4 @@ class RaftReplica(Node):
 
     def on_apply(self, payload: Any, index: int) -> None:
         """Apply one committed entry; subclasses override to drive their
-        state machines.  Default delegates to ``apply_callback``."""
-        if self.apply_callback is not None:
-            self.apply_callback(payload, index)
+        state machines.  The default applies nothing."""

@@ -131,7 +131,3 @@ class RandomStreams:
         # crc32 is stable across processes and Python versions (unlike
         # hash()), which keeps experiments reproducible everywhere.
         return (self._root_seed << 32) ^ zlib.crc32(name.encode("utf-8"))
-
-    def fork(self, salt: int) -> "RandomStreams":
-        """A new family of streams for an independent repetition."""
-        return RandomStreams(self._root_seed * 1_000_003 + salt + 1)

@@ -5,14 +5,14 @@ Carousel/Natto serve reads from the latest committed state).  A version
 records which transaction wrote it, which is what the history verifier
 uses to reconstruct the commit order.
 
-Missing keys are materialized on first read from ``default_factory`` so a
-1M-key dataset costs nothing until touched.
+Missing keys are materialized on first read with a 64-byte initial value,
+so a 1M-key dataset costs nothing until touched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional
+from typing import Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,8 @@ def _default_value(key: str) -> str:
 class KeyValueStore:
     """The state machine each replica applies committed writes to."""
 
-    def __init__(
-        self,
-        default_factory: Callable[[str], str] = _default_value,
-        record_history: bool = False,
-    ) -> None:
+    def __init__(self, record_history: bool = False) -> None:
         self._data: Dict[str, VersionedValue] = {}
-        self._default_factory = default_factory
-        self.applied_writes = 0
         #: Optional per-key version chains (for the history verifier).
         self.record_history = record_history
         self.history: Dict[str, list] = {}
@@ -48,19 +42,15 @@ class KeyValueStore:
         """Current version of ``key`` (materializing the initial value)."""
         current = self._data.get(key)
         if current is None:
-            current = VersionedValue(self._default_factory(key), 0, None)
+            current = VersionedValue(_default_value(key), 0, None)
             self._data[key] = current
         return current
-
-    def read_many(self, keys: Iterable[str]) -> Dict[str, VersionedValue]:
-        return {key: self.read(key) for key in keys}
 
     def apply(self, key: str, value: str, writer: str) -> VersionedValue:
         """Install a committed write; returns the new version."""
         previous = self.read(key)
         new = VersionedValue(value, previous.version + 1, writer)
         self._data[key] = new
-        self.applied_writes += 1
         if self.record_history:
             self.history.setdefault(key, []).append(new)
         return new

@@ -17,7 +17,7 @@ preempt-on-wait) lives in the system built on top, driven by the
   timestamp order when the 2PL system runs with priority preemption.
 
 ``release`` removes both held locks and queued waits, then re-drives
-grants; ``cancel`` is release for a transaction that dies while waiting.
+grants, whether the transaction finished or died while waiting.
 """
 
 from __future__ import annotations
@@ -84,30 +84,10 @@ class LockTable:
     # ------------------------------------------------------------------
     # Queries
 
-    def holders(self, key: str) -> Dict[str, LockMode]:
-        state = self._keys.get(key)
-        return dict(state.holders) if state else {}
-
     def is_waiting(self, txn_id: str) -> bool:
         """Does this transaction have ungranted keys? (POW's predicate)"""
         request = self._requests.get(txn_id)
         return request is not None and bool(request.pending)
-
-    def blockers_of(self, txn_id: str) -> Set[str]:
-        """Transactions currently holding keys this one waits for."""
-        request = self._requests.get(txn_id)
-        if request is None:
-            return set()
-        blocking: Set[str] = set()
-        for key in request.pending:
-            state = self._keys.get(key)
-            if state is None:
-                continue
-            mode = request.key_modes[key]
-            for holder, held_mode in state.holders.items():
-                if holder != txn_id and not _compatible(mode, held_mode):
-                    blocking.add(holder)
-        return blocking
 
     def request_of(self, txn_id: str) -> Optional[LockRequest]:
         return self._requests.get(txn_id)
@@ -120,7 +100,7 @@ class LockTable:
 
         The returned future resolves with ``True`` once every key is
         granted.  It never resolves with failure on its own — abandoning
-        a request is the caller's move (:meth:`cancel`).
+        a request is the caller's move (:meth:`release`).
         """
         if request.txn_id in self._requests:
             raise ValueError(f"{request.txn_id} already has a lock request")
@@ -148,10 +128,6 @@ class LockTable:
             self._try_grant(key)
             if not state.holders and not state.queue:
                 del self._keys[key]
-
-    def cancel(self, txn_id: str) -> None:
-        """Alias of release, for a transaction aborted while waiting."""
-        self.release(txn_id)
 
     # ------------------------------------------------------------------
     # Grant machinery

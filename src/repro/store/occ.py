@@ -49,10 +49,6 @@ class PreparedSet:
     def __len__(self) -> int:
         return len(self._prepared)
 
-    @property
-    def txn_ids(self) -> Set[str]:
-        return set(self._prepared)
-
     def conflicting(
         self, reads: Iterable[str], writes: Iterable[str]
     ) -> Set[str]:
@@ -102,7 +98,3 @@ class PreparedSet:
                 if not writers:
                     del self._writers[key]
         return True
-
-    def key_sets(self, txn_id: str) -> Tuple[Set[str], Set[str]]:
-        """(reads, writes) of a prepared transaction."""
-        return self._prepared[txn_id]

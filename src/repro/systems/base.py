@@ -62,10 +62,8 @@ class SystemConfig:
     delay_variance_cv: float = 0.0
     #: Packet loss — the Figure 12 knob.
     loss: LossConfig = field(default_factory=LossConfig)
-    #: Natto probe settings (harmless for systems that don't probe).
+    #: Natto's probe interval (harmless for systems that don't probe).
     probe_interval: float = 0.010
-    probe_window: float = 1.0
-    client_view_refresh: float = 0.1
 
     def with_overrides(self, **kwargs: Any) -> "SystemConfig":
         return replace(self, **kwargs)

@@ -38,8 +38,6 @@ class TapirReplica(Node):
         super().__init__(*args, **kwargs)
         self.store = KeyValueStore()
         self.prepared = PreparedSet()
-        self.prepare_ok_count = 0
-        self.prepare_abort_count = 0
 
     # ------------------------------------------------------------------
     # Reads (unreplicated operation: any single replica serves them)
@@ -65,13 +63,10 @@ class TapirReplica(Node):
             return TAPIR_VOTE_OK  # duplicate (finalize raced the prepare)
         for key, version in read_versions.items():
             if self.store.version_of(key) != version:
-                self.prepare_abort_count += 1
                 return self._abort_vote(txn, AbortReason.STALE_READ)
         if not self.prepared.is_free(reads, writes):
-            self.prepare_abort_count += 1
             return self._abort_vote(txn, AbortReason.OCC_CONFLICT)
         self.prepared.add(txn, reads, writes)
-        self.prepare_ok_count += 1
         return TAPIR_VOTE_OK
 
     def _abort_vote(self, txn: str, reason: AbortReason) -> TapirVoteAbort:

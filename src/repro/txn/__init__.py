@@ -8,7 +8,7 @@ read results (the interactive part); the client may abort after reads.
 
 from repro.txn.priority import Priority
 from repro.txn.stats import StatsCollector, TxnOutcome, TxnRecord
-from repro.txn.transaction import TransactionSpec, txn_order_key
+from repro.txn.transaction import TransactionSpec
 
 __all__ = [
     "Priority",
@@ -16,5 +16,4 @@ __all__ = [
     "TransactionSpec",
     "TxnOutcome",
     "TxnRecord",
-    "txn_order_key",
 ]

@@ -23,10 +23,6 @@ class Priority(enum.IntEnum):
     HIGH = 2
 
     @property
-    def is_high(self) -> bool:
-        return self is Priority.HIGH
-
-    @property
     def uses_locking(self) -> bool:
         """Natto prepares the lowest level with OCC and everything above
         it with the lock-based mechanism (§3.2, generalized)."""

@@ -53,16 +53,6 @@ class TransactionSpec:
         if not self.read_keys and not self.write_keys:
             raise ValueError(f"{self.txn_id}: empty transaction")
 
-    @property
-    def all_keys(self) -> Tuple[str, ...]:
-        seen = dict.fromkeys(self.read_keys)
-        seen.update(dict.fromkeys(self.write_keys))
-        return tuple(seen)
-
-    @property
-    def is_high_priority(self) -> bool:
-        return self.priority is Priority.HIGH
-
     def make_writes(self, reads: Mapping[str, str]) -> Optional[Dict[str, str]]:
         """Run the interactive write step, validating the key discipline."""
         writes = self.compute_writes(reads)
@@ -75,8 +65,3 @@ class TransactionSpec:
                 f"{sorted(illegal)}"
             )
         return writes
-
-
-def txn_order_key(timestamp: float, txn_id: str) -> Tuple[float, str]:
-    """Natto's global order: timestamp, then txn id for ties."""
-    return (timestamp, txn_id)

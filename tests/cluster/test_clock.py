@@ -25,35 +25,21 @@ def test_offset_is_bounded():
         assert abs(clock.offset) <= 0.002
 
 
-def test_drift_accumulates_over_time():
-    sim = Simulator()
-    clock = Clock(
-        sim,
-        ClockConfig(max_offset=0.0, drift_ppm=100.0),
-        np.random.default_rng(0),
-    )
-    sim.schedule(1000.0, sim.stop)
-    sim.run()
-    # 100 ppm over 1000 s = 0.1 s
-    assert abs(clock.offset - 0.1) < 1e-9
-
-
 def test_sync_step_bounds_drifting_clock():
+    """A clock whose offset has wandered past ``sync_error`` is back
+    inside it after one sync step, and stays there."""
     sim = Simulator()
     clock = Clock(
         sim,
-        ClockConfig(
-            max_offset=0.0,
-            drift_ppm=500.0,
-            sync_interval=1.0,
-            sync_error=0.0005,
-        ),
+        ClockConfig(max_offset=0.01, sync_interval=1.0, sync_error=0.0005),
         np.random.default_rng(0),
     )
-    sim.run(until=100.0)
-    # Without sync the offset would be 500ppm * 100s = 50 ms; with 1 s
-    # sync period it stays within sync_error + one interval of drift.
-    assert abs(clock.offset) < 0.0005 + 500e-6 * 1.0 + 1e-9
+    assert abs(clock.offset) > 0.0005  # starts outside the sync bound
+    sim.run(until=1.5)  # one sync step, at 1 s
+    assert abs(clock.offset) <= 0.0005
+    for until in range(2, 20):
+        sim.run(until=until + 0.5)
+        assert abs(clock.offset) <= 0.0005
 
 
 def test_until_converts_clock_deadline_to_sim_delay():

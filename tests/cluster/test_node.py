@@ -36,13 +36,6 @@ def test_idle_gap_resets_queue():
     assert model.admission_delay(0.001) == pytest.approx(0.001)
 
 
-def test_utilization_ahead_reports_backlog():
-    sim = Simulator()
-    model = ServiceModel(sim)
-    model.admission_delay(0.005)
-    assert abs(model.utilization_ahead() - 0.005) < 1e-12
-
-
 def test_node_defaults_to_perfect_clock_and_free_cpu():
     sim = Simulator()
     node = Node(sim, "n1", "DC1")

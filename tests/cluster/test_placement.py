@@ -9,7 +9,7 @@ def test_paper_layout_5dc_5partitions_3replicas():
     dcs = ("VA", "WA", "PR", "NSW", "SG")
     placements = place_partitions(dcs, 5, 3)
     # One partition leader per datacenter.
-    leaders = [p.leader_datacenter for p in placements]
+    leaders = [p.datacenters[0] for p in placements]
     assert sorted(leaders) == sorted(dcs)
     # At most one replica of a partition per datacenter.
     for p in placements:
@@ -35,8 +35,8 @@ def test_more_partitions_than_datacenters_wraps():
 
 def test_leader_is_first_datacenter():
     p = place_partitions(("A", "B", "C"), 1, 2)[0]
-    assert p.leader_datacenter == "A"
-    assert p.follower_datacenters == ("B",)
+    # The leader's datacenter first, then the followers'.
+    assert p.datacenters == ("A", "B")
 
 
 def test_replication_factor_exceeding_dcs_rejected():

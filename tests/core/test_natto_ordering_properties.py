@@ -84,7 +84,7 @@ def test_no_arrival_pattern_wedges_the_server(specs):
     sim.run(until=1.0)
     # Resolve each prepared transaction so waiters advance.
     for _ in range(len(specs) + 1):
-        for txn in sorted(server.prepared.txn_ids):
+        for txn in sorted(server.prepared._prepared):
             server.handle_commit_txn(
                 CommitTxn(txn, True, {"hot": txn}), "coord"
             )

@@ -144,7 +144,7 @@ def test_server_crash_holds_both_directions_and_stalls_cpu():
     # Held until recovery at t=4, then serviced after the CPU stall.
     assert dict(b.received)["inbound"] >= 4.0
     assert dict(a.received)["outbound"] >= 4.0
-    assert b.service.busy_until >= 4.0
+    assert b.service._busy_until >= 4.0
 
 
 def test_clock_skew_applies_and_clears_symmetrically():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.net import ConstantDelay, ParetoDelay, UniformJitterDelay, azure_topology
+from repro.net import ConstantDelay, ParetoDelay, azure_topology
 from repro.net.delay import make_delay_model, pareto_shape_for_cv
 
 
@@ -11,21 +11,6 @@ def test_constant_delay_equals_topology_base():
     topo = azure_topology()
     model = ConstantDelay(topo)
     assert model.sample("VA", "SG") == topo.one_way("VA", "SG")
-    assert model.mean("VA", "SG") == topo.one_way("VA", "SG")
-
-
-def test_uniform_jitter_bounds():
-    topo = azure_topology()
-    model = UniformJitterDelay(topo, np.random.default_rng(0), jitter=0.1)
-    base = topo.one_way("VA", "WA")
-    for _ in range(200):
-        sample = model.sample("VA", "WA")
-        assert base <= sample <= base * 1.1
-
-
-def test_uniform_jitter_rejects_negative():
-    with pytest.raises(ValueError):
-        UniformJitterDelay(azure_topology(), np.random.default_rng(0), -0.1)
 
 
 def test_pareto_shape_inverts_cv():

@@ -38,9 +38,6 @@ class _ListDelay:
     def sample(self, src_dc, dst_dc):
         return next(self._delays)
 
-    def mean(self, src_dc, dst_dc):  # pragma: no cover - not used
-        return 0.0
-
 
 class _Recorder(Node):
     def __init__(self, sim, name, dc, log, stop_at, service_time):

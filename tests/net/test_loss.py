@@ -24,7 +24,7 @@ def test_mathis_bound_decreases_with_rtt():
 
 def test_mathis_known_value():
     # B = 1.22 * MSS / (RTT * sqrt(p))
-    value = mathis_throughput(0.01, 0.1, mss_bytes=1460, cap_bytes_per_s=1e12)
+    value = mathis_throughput(0.01, 0.1, cap_bytes_per_s=1e12)
     assert value == pytest.approx(1.22 * 1460 / (0.1 * 0.1))
 
 

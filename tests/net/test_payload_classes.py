@@ -69,6 +69,7 @@ from repro.net.payload import (
     VoteReason,
     WoundEvent,
 )
+from repro.raft.log import LogEntry
 
 # Representative instances: at least one per class, plus variants for
 # every conditional-size branch (None vs str reasons, empty vs loaded
@@ -78,7 +79,9 @@ INSTANCES = [
     Reply(None),
     Reply({"nested": [1, 2.5, "x"]}),
     Reply(ReadOk({"key-1": "v" * 64})),  # payload-in-payload result
-    AppendEntries(3, "raft-0", 7, 2, [(3, {"op": "w", "key": "key-9"})], 6),
+    AppendEntries(
+        3, "raft-0", 7, 2, [LogEntry(3, {"op": "w", "key": "key-9"})], 6
+    ),
     AppendEntries(1, "raft-2", 0, 0, [], 0),  # idle heartbeat
     AppendEntriesResponse(3, True, "raft-1", 8),
     AppendEntriesResponse(4, False, "raft-2", 0),
@@ -194,7 +197,7 @@ def test_shape_default_is_readable_and_off_the_wire(instance, field, default):
 
 
 def test_message_wire_size_uses_payload_precompute():
-    request = AppendEntries(3, "raft-0", 7, 2, [(3, {"k": "v"})], 6)
+    request = AppendEntries(3, "raft-0", 7, 2, [LogEntry(3, {"k": "v"})], 6)
     message = Message("append_entries", request, "raft-0", "raft-1")
     assert message.wire_size == HEADER_BYTES + estimate_size(
         request.as_dict()
@@ -231,7 +234,7 @@ def test_raft_append_entries_round_trip_over_network():
     leader = net.register(Node(sim, "leader", "dc-a"))
     net.register(Follower(sim, "follower", "dc-b"))
 
-    sent = AppendEntries(2, "leader", 4, 1, [(2, {"op": "w"})], 3)
+    sent = AppendEntries(2, "leader", 4, 1, [LogEntry(2, {"op": "w"})], 3)
     net.send(leader, "follower", "append_entries", sent)
     sim.run()
 
@@ -239,7 +242,7 @@ def test_raft_append_entries_round_trip_over_network():
     payload, src = received[0]
     assert src == "leader"
     assert payload is sent  # no copy on the wire
-    assert payload.entries == [(2, {"op": "w"})]
+    assert payload.entries == [LogEntry(2, {"op": "w"})]
     assert payload.leader_commit == 3
 
 

@@ -39,7 +39,6 @@ def test_no_data_returns_none():
     net.register(server)
     proxy = ProbeProxy(sim, net, "VA", ["leader-sg"])
     assert proxy.estimate("leader-sg") is None
-    assert proxy.summary("leader-sg") is None
 
 
 def test_estimate_includes_server_clock_skew():
@@ -70,9 +69,9 @@ def test_p95_sits_in_upper_tail_under_jitter():
 def test_window_discards_old_samples():
     sim, net, proxy, server = build()
     sim.run(until=2.0)
-    summary = proxy.summary("leader-sg")
+    proxy.estimate("leader-sg")  # lands the replies arrived by now
     # 10 ms probes over a 1 s window -> about 100 retained samples.
-    assert 80 <= summary.samples <= 110
+    assert 80 <= len(proxy._windows["leader-sg"].samples) <= 110
 
 
 def test_client_view_is_stale_between_refreshes():
@@ -86,26 +85,3 @@ def test_client_view_is_stale_between_refreshes():
     # Proxy keeps probing, view only updates on its own refresh schedule;
     # the cached copy matches some recent proxy state.
     assert before == pytest.approx(0.107, abs=0.005)
-
-
-def test_view_max_estimate_requires_all_targets():
-    sim, net, proxy, _ = build()
-    view = ClientDelayView(sim, proxy, refresh_interval=0.1)
-    sim.run(until=0.5)
-    assert view.max_estimate(["leader-sg"]) is not None
-    assert view.max_estimate(["leader-sg", "missing"]) is None
-
-
-def test_add_target_starts_collecting():
-    sim = Simulator()
-    net = Network(sim, azure_topology())
-    s1 = Server(sim, "s1", "WA")
-    s2 = Server(sim, "s2", "PR")
-    net.register(s1)
-    net.register(s2)
-    proxy = ProbeProxy(sim, net, "VA", ["s1"])
-    proxy.add_target("s2")
-    proxy.start()
-    sim.run(until=1.0)
-    assert proxy.estimate("s1") == pytest.approx(0.067 / 2, abs=0.002)
-    assert proxy.estimate("s2") == pytest.approx(0.080 / 2, abs=0.002)

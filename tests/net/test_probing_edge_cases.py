@@ -5,8 +5,7 @@ import pytest
 
 from repro.cluster import Clock, ClockConfig, Node
 from repro.net import Network, azure_topology
-from repro.net.delay import ParetoDelay
-from repro.net.probing import ClientDelayView, ProbeProxy, ProbeTargetMixin
+from repro.net.probing import ProbeProxy, ProbeTargetMixin
 from repro.sim import Simulator
 
 
@@ -27,9 +26,6 @@ def test_estimate_tracks_a_delay_regime_change():
         def sample(self, a, b):
             return topo.one_way(a, b) + self.extra
 
-        def mean(self, a, b):
-            return topo.one_way(a, b) + self.extra
-
     model = SwitchableDelay()
     net = Network(sim, topo, delay_model=model)
     net.register(Server(sim, "s", "WA"))
@@ -43,36 +39,24 @@ def test_estimate_tracks_a_delay_regime_change():
     assert after == pytest.approx(before + 0.020, abs=0.003)
 
 
-def test_percentile_parameter_controls_conservatism():
-    sim = Simulator()
-    topo = azure_topology()
-    rng = np.random.default_rng(0)
-    net = Network(sim, topo, delay_model=ParetoDelay(topo, rng, cv=0.2))
-    net.register(Server(sim, "s", "SG"))
-    p50 = ProbeProxy(sim, net, "VA", ["s"], percentile=50.0)
-    p99 = ProbeProxy(sim, net, "PR", ["s"], percentile=99.0)
-    p50.start()
-    p99.start()
-    sim.run(until=3.0)
-    # Normalize out the different base delays before comparing.
-    ratio50 = p50.estimate("s") / topo.one_way("VA", "SG")
-    ratio99 = p99.estimate("s") / topo.one_way("PR", "SG")
-    assert ratio99 > ratio50
-
-
-def test_view_reflects_added_targets_after_refresh():
+@pytest.mark.parametrize("n", [1, 2, 19, 20, 21, 50, 101])
+def test_estimate_is_the_p95_index_of_the_sorted_window(n):
+    """Of a window of ``n`` distinct samples, sorted, the estimate is
+    ``values[min(n - 1, int(0.95 * n))]``."""
     sim = Simulator()
     net = Network(sim, azure_topology())
-    net.register(Server(sim, "s1", "WA"))
-    net.register(Server(sim, "s2", "PR"))
-    proxy = ProbeProxy(sim, net, "VA", ["s1"])
-    view = ClientDelayView(sim, proxy, refresh_interval=0.1)
-    proxy.start()
-    sim.run(until=1.0)
-    assert view.estimate("s2") is None
-    proxy.add_target("s2")
-    sim.run(until=2.5)
-    assert view.estimate("s2") is not None
+    net.register(Server(sim, "s", "SG"))
+    proxy = ProbeProxy(sim, net, "VA", ["s"])
+    order = np.random.default_rng(n).permutation(n)
+    samples = [0.1 + 0.001 * int(k) for k in order]
+    window = proxy._windows["s"]
+    for sequence, sample in enumerate(samples):
+        # (arrival, sequence, sample), as a probe reply leaves it: every
+        # one arrived at 0, so a read at 0 lands them all.
+        window.pending.append((0.0, sequence, sample))
+    values = sorted(samples)
+    assert proxy.estimate("s") == values[min(n - 1, int(0.95 * n))]
+    assert len(window.values) == n
 
 
 def test_skewed_proxy_clock_cancels_out_of_round_trip():

@@ -28,9 +28,6 @@ class FixedDelay:
     def sample(self, a, b):
         return ONE_WAY
 
-    def mean(self, a, b):
-        return ONE_WAY
-
 
 def build():
     """A proxy and a server in one datacenter (no bandwidth pipe), one
@@ -80,17 +77,6 @@ def test_a_refresh_before_the_arrival_instant_misses_the_reply():
     assert view.estimate("s") == ONE_WAY
 
 
-def test_summary_lands_pending_replies():
-    sim, _, proxy = build()
-    proxy.start()
-    # No probe round or refresh has run since the reply arrived.
-    sim.run(until=REPLY_ARRIVAL)
-    summary = proxy.summary("s")
-    assert (summary.samples, summary.p95, summary.mean) == (
-        1, ONE_WAY, ONE_WAY,
-    )
-
-
 @pytest.mark.parametrize("src, dst", [("proxy-VA", "s"), ("s", "proxy-VA")])
 def test_a_blackholed_probe_lands_nothing(src, dst):
     sim, net, proxy = build()
@@ -101,7 +87,6 @@ def test_a_blackholed_probe_lands_nothing(src, dst):
     sim.run(until=0.75)
     assert net.messages_dropped == 1
     assert proxy.estimate("s") is None
-    assert proxy.summary("s") is None
 
 
 def test_a_held_reply_lands_at_its_held_arrival():
@@ -134,7 +119,7 @@ def test_the_sorted_window_matches_a_sort_of_the_window():
     proxy.start()
     for until in (0.5, 1.3, 2.7):
         sim.run(until=until)
-        proxy.estimates()
+        proxy.estimate("s")
         window = proxy._windows["s"]
         assert window.values == sorted(s for _, s in window.samples)
         assert window.samples[-1][0] - window.samples[0][0] <= 1.0

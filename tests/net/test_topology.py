@@ -42,11 +42,6 @@ def test_one_way_is_half_rtt_in_seconds():
     assert topo.one_way("VA", "SG") == pytest.approx(0.107)
 
 
-def test_max_one_way_from_origin():
-    topo = azure_topology()
-    assert topo.max_one_way_from("VA", ["WA", "SG"]) == pytest.approx(0.107)
-
-
 def test_unknown_pair_raises():
     topo = azure_topology()
     with pytest.raises(KeyError):

@@ -10,8 +10,6 @@ import repro
 from repro.obs import AbortReason, Tracer, reason_value
 from repro.obs.export import (
     chrome_trace,
-    parse_jsonl_lines,
-    jsonl_lines,
     read_jsonl,
     write_chrome_trace,
     write_jsonl,
@@ -127,12 +125,6 @@ def test_jsonl_round_trip(tmp_path):
     assert root["attrs"]["outcome"] == "committed"
     abort = next(e for e in events if e["name"] == "abort")
     assert abort["attrs"]["reason"] == "OCC_CONFLICT"
-
-
-def test_parse_jsonl_lines_matches_writer():
-    tracer = _traced_run()
-    records = parse_jsonl_lines(jsonl_lines(tracer))
-    assert [r["type"] for r in records].count("span") == 3
 
 
 def test_chrome_trace_shape():

@@ -104,11 +104,13 @@ def test_entry_wire_size_is_its_tuple_share(payload):
 
 
 def test_append_entries_of_entry_objects_sizes_like_tuples():
-    objects = AppendEntries(
-        3, "raft-0", 7, 2, [LogEntry(3, p) for p in PAYLOADS], 6
-    )
-    tuples = AppendEntries(3, "raft-0", 7, 2, [(3, p) for p in PAYLOADS], 6)
-    assert objects.wire_size == tuples.wire_size
+    """The ``ENTRIES`` rule sums the entries' own sizes: the estimate of
+    the dict form, and of that dict with ``(term, payload)`` tuples."""
+    entries = [LogEntry(3, p) for p in PAYLOADS]
+    request = AppendEntries(3, "raft-0", 7, 2, entries, 6)
+    assert request.wire_size == estimate_size(request.as_dict())
+    tuples = {**request.as_dict(), "entries": [(3, p) for p in PAYLOADS]}
+    assert request.wire_size == estimate_size(tuples)
 
 
 def test_entries_compare_by_term_and_payload():

@@ -64,13 +64,13 @@ def test_isolated_follower_catches_up_by_back_off_after_heal():
 
     leader.handle_append_entries_response = record
     for op in ("a", "b"):
-        group.replicate(op)
+        group.leader.propose(op)
     settle(sim, 1.0)
     assert payloads(follower) == ["a", "b"]
 
     isolate(sim, net, follower, 1.0, 4.0)
     settle(sim, 1.0)
-    during = [group.replicate(op) for op in ("c", "d", "e")]
+    during = [group.leader.propose(op) for op in ("c", "d", "e")]
     settle(sim, 4.0)
     # The other follower makes a majority: the leader commits without it.
     assert all(future.done for future in during)
@@ -126,9 +126,9 @@ def test_cluster_survives_repeated_partitions():
         # 4 s isolated, then 4 s healed, with a proposal in each half.
         isolate(sim, net, replica, sim.now, sim.now + 4.0)
         settle(sim, sim.now)
-        futures.append(group.replicate(f"isolated-{replica.name}"))
+        futures.append(group.leader.propose(f"isolated-{replica.name}"))
         settle(sim, sim.now + 4.0)
-        futures.append(group.replicate(f"healed-{replica.name}"))
+        futures.append(group.leader.propose(f"healed-{replica.name}"))
         settle(sim, sim.now + 4.0)
     assert leaders(group) == [group.leader]
     assert [future.value for future in futures] == list(range(1, 7))

@@ -5,18 +5,18 @@ import pytest
 
 from repro.cluster.placement import PartitionPlacement
 from repro.net import Network, azure_topology, local_cluster_topology
-from repro.raft import ReplicationGroup, Role
+from repro.raft import RaftReplica, ReplicationGroup, Role
 from repro.sim import Simulator
 
 
-def build(datacenters=("VA", "WA", "PR"), apply_callback=None):
+def build(datacenters=("VA", "WA", "PR"), replica_factory=None):
     sim = Simulator()
     net = Network(sim, azure_topology())
     group = ReplicationGroup(
         sim,
         net,
         PartitionPlacement(0, tuple(datacenters)),
-        apply_callback=apply_callback,
+        replica_factory=replica_factory,
     )
     return sim, net, group
 
@@ -30,7 +30,7 @@ def test_designated_leader_is_ready_at_time_zero():
 def test_replicate_commits_after_one_round_trip_to_nearest_majority():
     sim, _, group = build()
     committed_at = []
-    future = group.replicate({"op": "x"})
+    future = group.leader.propose({"op": "x"})
     future.add_done_callback(lambda f: committed_at.append(sim.now))
     sim.run(until=1.0)
     assert future.done
@@ -41,8 +41,8 @@ def test_replicate_commits_after_one_round_trip_to_nearest_majority():
 
 def test_replicate_resolves_with_log_index():
     sim, _, group = build()
-    f1 = group.replicate("a")
-    f2 = group.replicate("b")
+    f1 = group.leader.propose("a")
+    f2 = group.leader.propose("b")
     sim.run(until=1.0)
     assert f1.value == 1
     assert f2.value == 2
@@ -50,11 +50,14 @@ def test_replicate_resolves_with_log_index():
 
 def test_entries_apply_in_order_on_all_replicas():
     applied = []
-    sim, _, group = build(
-        apply_callback=lambda payload, index: applied.append((payload, index))
-    )
+
+    class Recorder(RaftReplica):
+        def on_apply(self, payload, index):
+            applied.append((payload, index))
+
+    sim, _, group = build(replica_factory=Recorder)
     for op in "abc":
-        group.replicate(op)
+        group.leader.propose(op)
     sim.run(until=2.0)
     # 3 replicas each apply 3 entries, in index order per replica.
     assert len(applied) == 9
@@ -72,7 +75,7 @@ def test_entries_apply_in_order_on_all_replicas():
 def test_follower_logs_converge_to_leader_log():
     sim, _, group = build()
     for op in range(5):
-        group.replicate(op)
+        group.leader.propose(op)
     sim.run(until=2.0)
     leader_log = group.leader.log.snapshot()
     for replica in group.replicas:
@@ -83,7 +86,7 @@ def test_follower_logs_converge_to_leader_log():
 def test_followers_append_the_leaders_entry_objects():
     sim, _, group = build()
     for op in range(5):
-        group.replicate(op)
+        group.leader.propose(op)
     sim.run(until=2.0)
     leader_log = group.leader.log.snapshot()
     for replica in group.replicas:
@@ -103,24 +106,14 @@ def test_propose_on_follower_fails():
 
 def test_single_replica_group_commits_immediately():
     sim, net, group = build(datacenters=("VA",))
-    future = group.replicate("solo")
+    future = group.leader.propose("solo")
     sim.run(until=0.1)
     assert future.value == 1
 
 
-def test_replica_in_and_closest_replica():
-    _, _, group = build()
-    assert group.replica_in("WA").name == "p0-WA"
-    assert group.replica_in("SG") is None
-    topo = azure_topology()
-    assert group.closest_replica_name("VA", topo) == "p0-VA"
-    # From SG the closest of {VA 214, WA 163, PR 149} is PR.
-    assert group.closest_replica_name("SG", topo) == "p0-PR"
-
-
 def test_many_concurrent_proposals_all_commit():
     sim, _, group = build()
-    futures = [group.replicate(i) for i in range(50)]
+    futures = [group.leader.propose(i) for i in range(50)]
     sim.run(until=2.0)
     assert all(f.done for f in futures)
     assert [f.value for f in futures] == list(range(1, 51))
@@ -145,10 +138,6 @@ class AckJitter:
             return base * (1.0 + 9.0 * self._rng.random())
         return base
 
-    def mean(self, src_dc, dst_dc):
-        base = self._topology.one_way(src_dc, dst_dc)
-        return base * 5.5 if self._spread(src_dc, dst_dc) else base
-
 
 def test_deep_backlog_releases_every_future_once_in_index_order():
     sim = Simulator()
@@ -172,7 +161,7 @@ def test_deep_backlog_releases_every_future_once_in_index_order():
     leader.handle_append_entries_response = record_ack
 
     released = []
-    futures = [group.replicate(n) for n in range(600)]
+    futures = [group.leader.propose(n) for n in range(600)]
     assert len(leader._commit_futures) == 600
     for index, future in enumerate(futures, start=1):
         future.add_done_callback(

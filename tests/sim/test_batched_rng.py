@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.net.delay import ParetoDelay, UniformJitterDelay, pareto_shape_for_cv
+from repro.net.delay import ParetoDelay, pareto_shape_for_cv
 from repro.net.loss import LossConfig, LossModel
 from repro.net.topology import Topology
 from repro.sim.randomness import (
@@ -129,21 +129,6 @@ def _topology() -> Topology:
 
 
 PAIRS = (("dc-a", "dc-b"), ("dc-a", "dc-c"), ("dc-b", "dc-c"))
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_uniform_jitter_delay_matches_pre_batching_formula(seed):
-    topology = _topology()
-    model = UniformJitterDelay(topology, _rng(seed), jitter=0.05)
-    reference = _rng(seed)
-    for _ in range(600):
-        for src, dst in PAIRS:
-            base = topology.one_way(src, dst)
-            scale = topology.jitter_multiplier(src, dst)
-            expected = base * (
-                1.0 + float(reference.uniform(0.0, 0.05 * scale))
-            )
-            assert model.sample(src, dst) == expected
 
 
 @pytest.mark.parametrize("seed", SEEDS)

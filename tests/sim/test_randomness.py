@@ -30,16 +30,8 @@ def test_consuming_one_stream_does_not_shift_another():
     assert list(other.stream("b").integers(0, 10**9, 5)) == expected
 
 
-def test_fork_changes_all_streams():
-    base = RandomStreams(3)
-    fork = base.fork(1)
-    assert list(base.stream("w").integers(0, 10**9, 5)) != list(
-        fork.stream("w").integers(0, 10**9, 5)
-    )
-
-
-def test_forks_with_different_salts_differ():
-    base = RandomStreams(3)
-    assert list(base.fork(1).stream("w").integers(0, 10**9, 5)) != list(
-        base.fork(2).stream("w").integers(0, 10**9, 5)
-    )
+def test_root_seed_changes_every_stream():
+    for name in ("w", "net.delay", "clock.p0-VA"):
+        assert list(RandomStreams(3).stream(name).integers(0, 10**9, 5)) != (
+            list(RandomStreams(4).stream(name).integers(0, 10**9, 5))
+        )

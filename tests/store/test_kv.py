@@ -11,11 +11,6 @@ def test_missing_key_materializes_default():
     assert len(v.value) == 64  # paper's 64-byte values
 
 
-def test_default_factory_is_configurable():
-    store = KeyValueStore(default_factory=lambda key: "zero")
-    assert store.read("x").value == "zero"
-
-
 def test_apply_bumps_version_and_records_writer():
     store = KeyValueStore()
     store.read("k")
@@ -35,13 +30,6 @@ def test_apply_writes_batch():
     store.apply_writes({"a": "1", "b": "2"}, "txn-9")
     assert store.read("a").value == "1"
     assert store.read("b").writer == "txn-9"
-    assert store.applied_writes == 2
-
-
-def test_read_many():
-    store = KeyValueStore()
-    result = store.read_many(["a", "b"])
-    assert set(result) == {"a", "b"}
 
 
 def test_len_counts_materialized_keys_only():

@@ -82,14 +82,6 @@ def test_partial_hold_while_waiting():
     assert not table.is_waiting("t2")
 
 
-def test_blockers_of_reports_conflicting_holders():
-    table = LockTable()
-    table.request(req("t1", exclusive=["k"], timestamp=0))
-    table.request(req("t2", exclusive=["k"], timestamp=1))
-    assert table.blockers_of("t2") == {"t1"}
-    assert table.blockers_of("t1") == set()
-
-
 def test_on_blocked_fires_with_blockers():
     events = []
     table = LockTable(on_blocked=lambda txn, key, who: events.append((txn, key, who)))
@@ -98,11 +90,11 @@ def test_on_blocked_fires_with_blockers():
     assert ("t2", "k", {"t1"}) in events
 
 
-def test_cancel_removes_waiter_and_releases_partial_holds():
+def test_release_removes_waiter_and_releases_partial_holds():
     table = LockTable()
     table.request(req("t1", exclusive=["b"], timestamp=0))
     table.request(req("t2", exclusive=["a", "b"], timestamp=1))
-    table.cancel("t2")
+    table.release("t2")
     # "a" is free again.
     f3 = table.request(req("t3", exclusive=["a"], timestamp=2))
     assert f3.done
@@ -126,10 +118,11 @@ def test_duplicate_request_rejected():
 
 def test_wound_wait_scenario_end_to_end():
     """Policy layer simulation: old wounds young, young waits for old."""
-    table = LockTable()
+    blocked = []
+    table = LockTable(on_blocked=lambda *event: blocked.append(event))
     table.request(req("young", exclusive=["k"], timestamp=10))
     f_old = table.request(req("old", exclusive=["k"], timestamp=1))
     # Policy sees old blocked by young and wounds young:
-    assert table.blockers_of("old") == {"young"}
+    assert blocked == [("old", "k", {"young"})]
     table.release("young")  # the wound resolves as a release
     assert f_old.done

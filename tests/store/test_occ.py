@@ -56,14 +56,6 @@ def test_multiple_conflicting_transactions_all_reported():
     assert prepared.conflicting(reads=[], writes=["k"]) == {"t1", "t2"}
 
 
-def test_key_sets_returns_registered_sets():
-    prepared = PreparedSet()
-    prepared.add("t1", reads=["a", "b"], writes=["c"])
-    reads, writes = prepared.key_sets("t1")
-    assert reads == {"a", "b"}
-    assert writes == {"c"}
-
-
 @given(
     st.sets(st.integers(0, 8)),
     st.sets(st.integers(0, 8)),

@@ -1,9 +1,13 @@
 """Tests for the shared deployment scaffolding."""
 
+import inspect
+
 import pytest
 
 from repro.cluster.clock import ClockConfig
+from repro.net import probing
 from repro.net.loss import LossConfig
+from repro.net.probing import ClientDelayView
 from repro.net.topology import azure_topology, local_cluster_topology
 from repro.systems.base import Cluster, SystemConfig, attempt_id
 from repro.txn.transaction import TransactionSpec
@@ -14,8 +18,10 @@ def test_default_config_matches_paper_deployment():
     assert config.num_partitions == 5
     assert config.replication_factor == 3
     assert config.probe_interval == 0.010   # 10 ms probes
-    assert config.probe_window == 1.0       # 1 s sliding window
-    assert config.client_view_refresh == 0.1  # 100 ms client refresh
+    assert probing.WINDOW_SECONDS == 1.0    # 1 s sliding window
+    assert probing.PERCENTILE == 95.0       # p95 estimates
+    refresh = inspect.signature(ClientDelayView).parameters["refresh_interval"]
+    assert refresh.default == 0.1           # 100 ms client refresh
 
 
 def test_with_overrides_returns_new_config():
@@ -28,7 +34,7 @@ def test_with_overrides_returns_new_config():
 def test_cluster_builds_placements_for_every_partition():
     cluster = Cluster(azure_topology(), SystemConfig(num_partitions=5))
     assert len(cluster.placements) == 5
-    leaders = {p.leader_datacenter for p in cluster.placements}
+    leaders = {p.datacenters[0] for p in cluster.placements}
     assert leaders == set(azure_topology().datacenters)
 
 
@@ -36,7 +42,7 @@ def test_coordinator_placement_is_leader_local():
     cluster = Cluster(azure_topology(), SystemConfig())
     for dc in azure_topology().datacenters:
         placement = cluster.coordinator_placement(dc)
-        assert placement.leader_datacenter == dc
+        assert placement.datacenters[0] == dc
         assert len(placement.datacenters) == 3
         assert placement.partition_id >= 1000  # out of the data range
 

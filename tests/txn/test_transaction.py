@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.txn import Priority, TransactionSpec, txn_order_key
+from repro.txn import Priority, TransactionSpec
 
 
 def spec(**kwargs):
@@ -15,10 +15,6 @@ def spec(**kwargs):
     return TransactionSpec(**defaults)
 
 
-def test_all_keys_deduplicates_preserving_order():
-    assert spec().all_keys == ("a", "b", "c")
-
-
 def test_empty_transaction_rejected():
     with pytest.raises(ValueError):
         TransactionSpec("t", (), ())
@@ -26,13 +22,10 @@ def test_empty_transaction_rejected():
 
 def test_default_priority_is_low():
     assert spec().priority is Priority.LOW
-    assert not spec().is_high_priority
 
 
 def test_priority_ordering():
-    assert Priority.HIGH > Priority.LOW
-    assert Priority.HIGH.is_high
-    assert not Priority.LOW.is_high
+    assert Priority.HIGH > Priority.MEDIUM > Priority.LOW
 
 
 def test_make_writes_passes_read_results():
@@ -62,11 +55,6 @@ def test_write_outside_declared_set_rejected():
     s = spec(compute_writes=lambda reads: {"not-declared": "v"})
     with pytest.raises(ValueError):
         s.make_writes({"a": "x", "b": "y"})
-
-
-def test_order_key_sorts_by_timestamp_then_id():
-    assert txn_order_key(1.0, "z") < txn_order_key(2.0, "a")
-    assert txn_order_key(1.0, "a") < txn_order_key(1.0, "b")
 
 
 def test_specs_are_immutable():

@@ -164,7 +164,9 @@ def _raft_system(until=3.0, proposals=5):
         PartitionPlacement(0, ("VA", "WA", "PR")),
     )
     for i in range(proposals):
-        sim.schedule(0.1 * (i + 1), lambda i=i: group.replicate(("op", i)))
+        sim.schedule(
+            0.1 * (i + 1), lambda i=i: group.leader.propose(("op", i))
+        )
     sim.run(until=until)
     return FakeSystem({0: group})
 

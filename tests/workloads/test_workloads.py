@@ -100,7 +100,8 @@ def test_retwis_with_uniform_keys():
         rng(), key_chooser=UniformKeys(1000, rng(7))
     )
     spec = w.next_transaction("c")
-    assert all(key.startswith("key-") for key in spec.all_keys)
+    keys = spec.read_keys + spec.write_keys
+    assert all(key.startswith("key-") for key in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +132,8 @@ def test_smallbank_hot_users_receive_most_traffic():
     trials = 2000
     for _ in range(trials):
         spec = w.next_transaction("c")
-        users = {int(k.split(":")[1]) for k in spec.all_keys}
+        keys = spec.read_keys + spec.write_keys
+        users = {int(k.split(":")[1]) for k in keys}
         if any(u < 100 for u in users):
             hot += 1
     assert hot / trials > 0.85
@@ -197,10 +199,10 @@ def test_two_user_transactions_pick_distinct_users():
     for _ in range(300):
         spec = w.next_transaction("c")
         if spec.txn_type in ("send_payment", "amalgamate"):
-            users = [int(k.split(":")[1]) for k in spec.all_keys]
+            keys = set(spec.read_keys) | set(spec.write_keys)
             checking_users = [
                 int(k.split(":")[1])
-                for k in spec.all_keys
+                for k in keys
                 if k.startswith("checking:")
             ]
             assert len(set(checking_users)) == len(checking_users)
