@@ -65,7 +65,7 @@ def main():
     network = result.system.cluster.network
     print(
         f"\nnetwork: {network.messages_sent} messages, "
-        f"{network.bytes_sent} bytes, {network.messages_dropped} dropped"
+        f"{network.bytes_sent} bytes"
     )
     waits = defaultdict(list)
     delays = defaultdict(list)

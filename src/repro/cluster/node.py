@@ -29,13 +29,10 @@ message.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Optional
 
 from repro.cluster.clock import Clock, ClockConfig
 from repro.sim import Simulator
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.net.message import Message
 
 
 class ServiceModel:
@@ -76,8 +73,8 @@ class ServiceModel:
 class Node:
     """Base class for simulated machines.
 
-    Subclasses implement :meth:`handle_message` (for one-way messages)
-    and/or ``handle_<method>`` methods invoked by the RPC layer in
+    Subclasses implement ``handle_<method>(payload, src)`` methods,
+    invoked for one-way messages and RPCs alike by
     :mod:`repro.net.network`.  The network looks a node's handler for a
     method up on the first such message and keeps it, so handlers are
     not swapped after a node starts receiving.  An RPC handler's return
@@ -98,13 +95,6 @@ class Node:
         self.datacenter = datacenter
         self.clock = clock or Clock(sim, ClockConfig(max_offset=0.0))
         self.service = ServiceModel(sim, service_time)
-
-    def handle_message(self, message: "Message") -> Any:
-        """One-way message entry point; default drops the message."""
-        raise NotImplementedError(
-            f"{type(self).__name__} ({self.name}) cannot handle "
-            f"one-way message {message.method!r}"
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}@{self.datacenter}>"

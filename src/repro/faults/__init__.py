@@ -22,15 +22,15 @@ logic above the network layer):
 * **Crashes are fail-stop without durability loss**: the node's CPU is
   stalled and its traffic held until recovery, after which it resumes
   with its state intact — consistent with the in-memory Raft model.
-* **Blackholes** (true message drops) exist for targeted tests but are
-  excluded from the default random generator.
+
+No kind drops a message: every message arrives once, in send order,
+which is the network's one delivery rule.
 """
 
 from repro.faults.schedule import (
     FAULT_KINDS,
     FaultEvent,
     FaultSchedule,
-    blackhole,
     clock_skew,
     delay_storm,
     leader_pause,
@@ -47,7 +47,6 @@ __all__ = [
     "FaultEvent",
     "FaultSchedule",
     "FaultInjector",
-    "blackhole",
     "clock_skew",
     "delay_storm",
     "leader_pause",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class FaultInjector:
         self._holds: List[Tuple[int, Tuple[Any, ...]]] = []
         self._bursts: List[Tuple[int, float, float]] = []
         self._storms: List[Tuple[int, float, float]] = []
-        self._blackholes: List[Tuple[int, str, str]] = []
         # Pause depth per node, so overlapping pauses on one node only
         # resume heartbeats when the last window closes.
         self._paused: Dict[str, int] = {}
@@ -73,10 +72,6 @@ class FaultInjector:
             self.sim.post_at(event.start, partial(self._begin, index, event))
             self.sim.post_at(event.end, partial(self._end, index, event))
         return self
-
-    def detach(self) -> None:
-        self.network.set_faults(None)
-        self._attached = False
 
     # ------------------------------------------------------------------
     # Event log
@@ -147,8 +142,6 @@ class FaultInjector:
         elif kind == "clock_skew":
             node = self.network.node(params["node"])
             node.clock.fault_skew += params["skew"]
-        elif kind == "blackhole":
-            self._blackholes.append((index, params["src"], params["dst"]))
         if kind in NETWORK_KINDS:
             self._net_open += 1
             self.active = True
@@ -162,8 +155,6 @@ class FaultInjector:
             self._bursts = [b for b in self._bursts if b[0] != index]
         elif kind == "delay_storm":
             self._storms = [s for s in self._storms if s[0] != index]
-        elif kind == "blackhole":
-            self._blackholes = [b for b in self._blackholes if b[0] != index]
         elif kind == "leader_pause":
             node = self.network.node(event.params["node"])
             depth = self._paused.get(node.name, 1) - 1
@@ -190,19 +181,14 @@ class FaultInjector:
         src_dc: str,
         dst_dc: str,
         delay: float,
-    ) -> Optional[Tuple[float, float]]:
-        """Adjust one message: drop (None) or ``(delay, arrival_floor)``.
+    ) -> Tuple[float, float]:
+        """Adjust one message's delay: returns ``(delay, arrival_floor)``.
 
         Partitions and crashes floor the arrival at their heal/recovery
         time instead of dropping: the transport keeps retrying until the
         route returns, and the per-pair FIFO map in the network then
         preserves send order among the held messages.
         """
-        for _idx, bh_src, bh_dst in self._blackholes:
-            if (bh_src == "*" or bh_src == src) and (
-                bh_dst == "*" or bh_dst == dst
-            ):
-                return None
         for _idx, factor, extra in self._storms:
             delay = delay * factor + extra
         for _idx, loss_rate, rto in self._bursts:

@@ -25,7 +25,6 @@ FAULT_KINDS: Tuple[str, ...] = (
     "server_crash",      # node
     "leader_pause",      # node
     "clock_skew",        # node, skew
-    "blackhole",         # src, dst ("*" wildcards allowed)
 )
 
 #: Kinds the network consults per message while their window is open.
@@ -36,7 +35,6 @@ NETWORK_KINDS = frozenset(
         "loss_burst",
         "delay_storm",
         "server_crash",
-        "blackhole",
     )
 )
 
@@ -144,13 +142,6 @@ def clock_skew(start: float, duration: float, node: str, skew: float) -> FaultEv
     return FaultEvent("clock_skew", start, duration, {"node": node, "skew": skew})
 
 
-def blackhole(
-    start: float, duration: float, src: str = "*", dst: str = "*"
-) -> FaultEvent:
-    """Silently drop matching messages (``"*"`` matches any node)."""
-    return FaultEvent("blackhole", start, duration, {"src": src, "dst": dst})
-
-
 # ----------------------------------------------------------------------
 # Schedules
 
@@ -228,11 +219,8 @@ def random_schedule(
     The kind pool adapts to what the cluster supports: crashes need
     ``crashable`` targets (followers — Raft has no elections, so a
     leader is irreplaceable), pauses need ``pausable`` targets (leaders),
-    skew spikes need ``skewable`` targets.  Blackholes are never drawn:
-    with TCP-modeled transports a silent drop hangs its transaction
-    forever, which reads as a liveness artifact rather than a protocol
-    bug.  Windows start inside the first 70% of ``horizon`` so faults
-    always overlap live traffic.
+    skew spikes need ``skewable`` targets.  Windows start inside the
+    first 70% of ``horizon`` so faults always overlap live traffic.
     """
     datacenters = sorted(datacenters)
     rng = np.random.default_rng(seed)

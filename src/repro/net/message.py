@@ -1,7 +1,7 @@
 """Messages exchanged over the simulated network.
 
 Messages carry a method name (dispatched to ``handle_<method>`` on the
-destination node, else to ``handle_message``), a payload, an estimated
+destination node), a payload, an estimated
 wire size used by the bandwidth pipes and, on a request that expects a
 reply and on that reply, where the reply goes.  Protocol payloads are
 the classes of :mod:`repro.net.payload`, which precompute their size;

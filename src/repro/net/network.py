@@ -31,21 +31,19 @@ that an entry per event would.
 
 Three primitives:
 
-* :meth:`Network.send` — one-way message; dispatched to
-  ``handle_<method>`` if the destination defines it, else to
-  ``handle_message``.
+* :meth:`Network.send` — one-way message; dispatched to the
+  destination's ``handle_<method>``.
 * :meth:`Network.call` — request/response RPC returning a
   :class:`~repro.sim.Future`.  The handler may return a plain value
   (respond now) or a Future (respond when it resolves).  The request
   message carries the caller's future and the reply carries it back,
   so the network keeps no table of outstanding calls: a request
-  expects a reply iff it carries a future, and a dropped request
-  leaves nothing behind.
+  expects a reply iff it carries a future.
 * :meth:`Network.probe` — a ``probe`` request whose reply lands in a
   sink (a :class:`~repro.net.probing.ProbeProxy` round) at dispatch.
 
 A probe reply costs what any reply costs up to its arrival time: the
-delay and loss samples, the pipe slot, the fault hold or drop, the FIFO
+delay and loss samples, the pipe slot, the fault hold, the FIFO
 floor and ``messages_sent``/``bytes_sent``.  It gets no arrival event:
 the sink keeps ``(arrival, sequence)``, where ``sequence`` is the
 kernel's sequence number at dispatch, and a read of the proxy's window
@@ -59,14 +57,18 @@ between arrival and handling) and handling a reply only writes the
 window; the proxy refuses to probe otherwise.
 
 Handlers receive ``(payload, src_name)`` and are looked up as
-``handle_<method>`` on the destination node.  Protocol payloads are the
-classes of :mod:`repro.net.payload`, read by attribute; the network
-itself only reads a reply's ``result`` and, when tracing, a payload's
-``txn`` tag, so any object (the generic tests send dicts) can travel.
+``handle_<method>`` on the destination node; a node without one for a
+message's method fails the run with ``AttributeError``.  Protocol
+payloads are the classes of :mod:`repro.net.payload`, read by
+attribute; the network itself only reads a reply's ``result`` and,
+when tracing, a payload's ``txn`` tag, so any object (the generic tests
+send dicts) can travel.
 
-Faults: :meth:`Network.set_faults` attaches a
-:class:`repro.faults.FaultInjector` schedule, the one fault path; it
-can hold, delay or (blackhole) drop each message.
+One delivery rule: every message arrives exactly once, and the
+messages on a link arrive in send order.  Loss only adds retransmission
+delay, and faults only delay or hold a message.  Faults:
+:meth:`Network.set_faults` attaches a :class:`repro.faults.FaultInjector`
+schedule, the one fault path; it can delay or hold each message.
 """
 
 from __future__ import annotations
@@ -130,8 +132,8 @@ class _Link:
         #: — a later message never overtakes an earlier one, though it
         #: can be delayed behind it.  The latest arrival so far.
         self.floor = 0.0
-        #: The destination's method -> bound handler, or None for the
-        #: ``handle_message`` fallback; shared by every link into it.
+        #: The destination's method -> bound handler; shared by every
+        #: link into it.
         self.handlers = handlers
         #: The kernel lane of this link's arrival events: the FIFO
         #: floor keeps their deadlines in send order.
@@ -193,7 +195,6 @@ class Network:
         # at least one fault window is open.  None outside fault runs,
         # so the hot path pays one attribute load and an is-None test.
         self._faults = None
-        self.messages_dropped = 0
         self._loss = None
         if loss.loss_rate > 0.0:
             if loss_rng is None:
@@ -257,8 +258,9 @@ class Network:
         ``faults`` is the network-fault view of a
         :class:`repro.faults.FaultInjector`; while ``faults.active`` is
         True, ``faults.route(src, dst, src_dc, dst_dc, delay)`` is
-        consulted per message and may drop it (return ``None``), inflate
-        its delay, or floor its arrival time (partition/crash hold).
+        consulted per message and returns ``(delay, floor)``: it may
+        inflate the delay or floor the arrival time (partition/crash
+        hold), but never drops the message.
         """
         self._faults = faults
 
@@ -315,23 +317,9 @@ class Network:
             delay += pipe.transmit(sim._now, size)
         faults = self._faults
         if faults is not None and faults.active:
-            routed = faults.route(
+            delay, fault_floor = faults.route(
                 message.src, message.dst, link.src_dc, link.dst_dc, delay
             )
-            if routed is None:
-                # Blackhole: the only fault that vaporizes a packet.
-                self.messages_dropped += 1
-                tracer = sim.tracer
-                if tracer is not None:
-                    tracer.event(
-                        "drop",
-                        node=message.src,
-                        txn=_txn_tag(message),
-                        method=message.method,
-                        dst=message.dst,
-                    )
-                return
-            delay, fault_floor = routed
             arrival = sim._now + delay
             if fault_floor > arrival:
                 arrival = fault_floor
@@ -384,12 +372,7 @@ class Network:
         try:
             handler = handlers[method]
         except KeyError:
-            handler = handlers[method] = getattr(
-                link.dst, "handle_" + method, None
-            )
-        if handler is None:
-            link.dst.handle_message(message)
-            return
+            handler = handlers[method] = getattr(link.dst, "handle_" + method)
         result = handler(message.payload, message.src)
         if future is not None:
             if isinstance(result, Future):

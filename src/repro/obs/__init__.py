@@ -15,8 +15,8 @@ The pieces:
   (:mod:`repro.obs.cli`).
 
 Counts that every run needs are kept by the layers themselves, traced or
-not: ``Simulator.events_fired``, ``Network.messages_sent``/``bytes_sent``/
-``messages_dropped``, ``TwoPLParticipant.wounds_sent``.
+not: ``Simulator.events_fired``, ``Network.messages_sent``/``bytes_sent``,
+``TwoPLParticipant.wounds_sent``.
 """
 
 from repro.obs.abort import AbortReason, reason_value

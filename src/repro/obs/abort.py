@@ -38,8 +38,8 @@ class AbortReason(str, enum.Enum):
     #: A conditional prepare's condition failed (the blocker committed)
     #: and the retry path could not recover the attempt (Natto CP).
     CONDITION_FAILED = "CONDITION_FAILED"
-    #: The attempt died waiting on a message that was dropped by fault
-    #: injection or lost to the loss model.
+    #: The attempt died waiting on a lost message.  No site stamps it:
+    #: the network delivers every message (loss only adds delay).
     PACKET_LOSS_TIMEOUT = "PACKET_LOSS_TIMEOUT"
     #: The client chose to abort after its reads (2FI voluntary abort).
     VOLUNTARY = "VOLUNTARY"

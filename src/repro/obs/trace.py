@@ -83,7 +83,7 @@ class Span:
 
 
 class TraceEvent:
-    """A point-in-time record (aborts, drops, wounds, ...)."""
+    """A point-in-time record (aborts, wounds, ...)."""
 
     __slots__ = ("name", "time", "node", "txn", "attrs")
 

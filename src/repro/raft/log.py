@@ -1,15 +1,16 @@
 """The replicated log.
 
 Indexes are 1-based, as in the Raft paper; index 0 is the empty-log
-sentinel with term 0.  The log enforces the Log Matching property
-locally: entries are only appended after a successful
-``(prev_index, prev_term)`` consistency check, and a conflicting suffix
-is truncated before new entries are written.
+sentinel with term 0.  The network delivers every message once, in send
+order, and the leader ships each entry once, so a follower only ever
+appends at its tail.  :meth:`RaftLog.append_at` checks that and raises
+otherwise: a broken delivery rule fails the run instead of being
+repaired by truncation.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence
 
 from repro.net.message import estimate_size
 
@@ -80,32 +81,22 @@ class RaftLog:
         """Entries at ``index`` and beyond (for AppendEntries payloads)."""
         return self._entries[index - 1:]
 
-    def matches(self, prev_index: int, prev_term: int) -> bool:
-        """The AppendEntries consistency check."""
-        return self.term_at(prev_index) == prev_term
+    def append_at(
+        self, prev_index: int, prev_term: int, entries: Sequence[LogEntry]
+    ) -> int:
+        """Follower-side append; returns the new last index.
 
-    def append_from_leader(
-        self, prev_index: int, prev_term: int, entries: List[LogEntry]
-    ) -> bool:
-        """Follower-side append after the consistency check.
-
-        Truncates any conflicting suffix (same index, different term)
-        before writing, per Raft's conflict rule.  Returns False if the
-        consistency check fails.
+        ``prev_index`` must be this log's last index and ``prev_term``
+        its term (the AppendEntries consistency check, which in this
+        model always holds); anything else raises ``RuntimeError``.
+        An empty ``entries`` (a heartbeat) is just the check.
         """
-        if not self.matches(prev_index, prev_term):
-            return False
-        for offset, entry in enumerate(entries):
-            index = prev_index + 1 + offset
-            existing_term = self.term_at(index)
-            if existing_term is None:
-                self._entries.append(entry)
-            elif existing_term != entry.term:
-                del self._entries[index - 1:]
-                self._entries.append(entry)
-            # else: duplicate of an entry we already have; keep it.
-        return True
-
-    def snapshot(self) -> Tuple[LogEntry, ...]:
-        """Immutable copy, for tests and invariant checks."""
-        return tuple(self._entries)
+        last = len(self._entries)
+        if prev_index != last or self.term_at(last) != prev_term:
+            raise RuntimeError(
+                f"AppendEntries at ({prev_index}, term {prev_term}) does "
+                f"not extend a log ending at ({last}, term "
+                f"{self.term_at(last)}): a message was lost or reordered"
+            )
+        self._entries.extend(entries)
+        return len(self._entries)

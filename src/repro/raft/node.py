@@ -5,10 +5,13 @@ experiment runs failure-free, so leadership never changes: the leader is
 designated at construction (:class:`~repro.raft.group.ReplicationGroup`
 makes its first replica lead) and every replica is in term 1 for the
 whole run.  There are no elections.  What remains is AppendEntries
-replication with log-matching repair (next_index back-off, which
-blackhole faults exercise) and majority commit.  Terms stay in log
-entries and messages, so the wire format and the log-matching check are
-Raft's.
+replication and majority commit.  The network delivers every message
+once, in send order, so the leader ships each entry to each follower
+exactly once and a follower always appends at its tail; there is no
+log repair (next_index back-off, conflict truncation), and
+:meth:`~repro.raft.log.RaftLog.append_at` raises if the rule is ever
+broken.  Terms stay in log entries and messages, so the wire format and
+the log-matching check are Raft's.
 
 Simplifications relative to a production Raft (documented in DESIGN.md):
 
@@ -65,10 +68,9 @@ class RaftReplica(Node):
         self.last_applied = 0
 
         # Leader volatile state.
-        self._next_index: Dict[str, int] = {}
         self._match_index: Dict[str, int] = {}
-        # Pipelining: highest index already shipped to each peer, so a
-        # new proposal or heartbeat does not re-send in-flight entries.
+        # Highest index already shipped to each peer: every entry is
+        # sent once, and a heartbeat or the next proposal starts after it.
         self._sent_index: Dict[str, int] = {}
         # Proposals awaiting commit, (index, future) in index order: the
         # leader's log only grows, so proposals arrive in index order.
@@ -96,7 +98,6 @@ class RaftReplica(Node):
         """Lead the group from now on and send the first heartbeat."""
         self.role = Role.LEADER
         for peer in self.peers:
-            self._next_index[peer] = self.log.last_index + 1
             self._match_index[peer] = 0
             self._sent_index[peer] = self.log.last_index
         self._broadcast_heartbeat()
@@ -181,11 +182,8 @@ class RaftReplica(Node):
         )
 
     def _send_entries(self, peer: str) -> None:
-        next_index = self._next_index.get(peer, self.log.last_index + 1)
-        # Ship only entries not already in flight; retransmission is
-        # driven by failure responses resetting the send pointer.
-        start = max(next_index, self._sent_index.get(peer, 0) + 1)
-        prev_index = start - 1
+        prev_index = self._sent_index[peer]
+        start = prev_index + 1
         # Probe the tail length before slicing: idle heartbeats (the
         # common case) would otherwise allocate an empty list per peer.
         entries = (
@@ -227,18 +225,10 @@ class RaftReplica(Node):
         self._network.send(self, peer, "append_entries", payload)
 
     def handle_append_entries(self, payload: AppendEntries, src: str) -> None:
-        entries = payload.entries
-        if entries:
-            success = self.log.append_from_leader(
-                payload.prev_index, payload.prev_term, entries
-            )
-            match_index = payload.prev_index + len(entries) if success else 0
-        else:
-            # Idle heartbeat: append_from_leader with no entries is just
-            # the consistency check — skip the list building.
-            success = self.log.matches(payload.prev_index, payload.prev_term)
-            match_index = payload.prev_index if success else 0
-        if success and payload.leader_commit > self.commit_index:
+        match_index = self.log.append_at(
+            payload.prev_index, payload.prev_term, payload.entries
+        )
+        if payload.leader_commit > self.commit_index:
             self.commit_index = min(
                 payload.leader_commit, self.log.last_index
             )
@@ -246,13 +236,9 @@ class RaftReplica(Node):
         # Heartbeat responses between match changes are identical; reuse
         # the cached one (mirrors the leader's idle-payload cache).
         response = self._append_response
-        if (
-            response is None
-            or response.success is not success
-            or response.match_index != match_index
-        ):
+        if response is None or response.match_index != match_index:
             response = AppendEntriesResponse(
-                self.current_term, success, self.name, match_index
+                self.current_term, True, self.name, match_index
             )
             self._append_response = response
         self._network.send(self, src, "append_entries_response", response)
@@ -261,17 +247,10 @@ class RaftReplica(Node):
         self, payload: AppendEntriesResponse, src: str
     ) -> None:
         peer = payload.follower
-        if payload.success:
-            match = payload.match_index
-            if match > self._match_index.get(peer, 0):
-                self._match_index[peer] = match
-                self._next_index[peer] = match + 1
-                self._advance_commit()
-        else:
-            # Log mismatch: back off, rewind the send pointer, retry.
-            self._next_index[peer] = max(1, self._next_index.get(peer, 1) - 1)
-            self._sent_index[peer] = self._next_index[peer] - 1
-            self._send_entries(peer)
+        match = payload.match_index
+        if match > self._match_index[peer]:
+            self._match_index[peer] = match
+            self._advance_commit()
 
     def _advance_commit(self) -> None:
         # Highest index replicated on a majority (leader included).

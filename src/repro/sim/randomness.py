@@ -115,10 +115,6 @@ class RandomStreams:
         self._root_seed = int(root_seed)
         self._streams: Dict[str, np.random.Generator] = {}
 
-    @property
-    def root_seed(self) -> int:
-        return self._root_seed
-
     def stream(self, name: str) -> np.random.Generator:
         """The generator for ``name``, created on first use."""
         generator = self._streams.get(name)

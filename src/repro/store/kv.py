@@ -32,10 +32,11 @@ def _default_value(key: str) -> str:
 class KeyValueStore:
     """The state machine each replica applies committed writes to."""
 
-    def __init__(self, record_history: bool = False) -> None:
+    def __init__(self) -> None:
         self._data: Dict[str, VersionedValue] = {}
-        #: Optional per-key version chains (for the history verifier).
-        self.record_history = record_history
+        #: Per-key version chains, kept once the history verifier sets
+        #: this (``repro.verify.history.enable_history``).
+        self.record_history = False
         self.history: Dict[str, list] = {}
 
     def read(self, key: str) -> VersionedValue:

@@ -257,7 +257,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
     submitted = len(spec.clients) * spec.rounds * spec.txns_per_client
     # Run past the last fault window and the last submission, then until
     # every transaction reached a terminal outcome, plus the settle
-    # window.  All faults here delay messages rather than drop them, so
+    # window.  No fault drops a message, only delays or holds it, so
     # quiescence is guaranteed: the cap is a harness safety net, and
     # hitting it is a violation.
     after = max(

@@ -28,9 +28,6 @@ class Recorder(Node):
     def handle_commit_txn(self, payload, src):
         self.events.append(payload)
 
-    def handle_message(self, message):
-        self.events.append(message.payload)
-
 
 def build():
     sim = Simulator()

@@ -26,9 +26,6 @@ class Recorder(Node):
         super().__init__(sim, name, "VA")
         self.messages = []
 
-    def handle_message(self, message):
-        self.messages.append((message.method, message.payload))
-
     def handle_txn_event(self, payload, src):
         self.messages.append(("txn_event", payload))
 

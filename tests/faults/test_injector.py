@@ -12,7 +12,6 @@ from repro.cluster.placement import PartitionPlacement
 from repro.faults import (
     FaultInjector,
     FaultSchedule,
-    blackhole,
     clock_skew,
     delay_storm,
     leader_pause,
@@ -31,8 +30,8 @@ class Echo(Node):
         super().__init__(sim, name, dc, **kwargs)
         self.received = []
 
-    def handle_message(self, message):
-        self.received.append((message.method, self.sim.now))
+    def handle_note(self, payload, src):
+        self.received.append((payload, self.sim.now))
 
 
 def build(schedule, seed=0):
@@ -52,8 +51,8 @@ def test_region_partition_holds_messages_until_heal():
         (region_partition(1.0, 4.0, ["VA"], ["SG", "WA", "PR", "NSW"]),)
     )
     sim, net, a, b, injector = build(schedule)
-    sim.schedule(2.0, lambda: net.send(a, "b", "cut", {}))
-    sim.schedule(8.0, lambda: net.send(a, "b", "clear", {}))
+    sim.schedule(2.0, lambda: net.send(a, "b", "note", "cut"))
+    sim.schedule(8.0, lambda: net.send(a, "b", "note", "clear"))
     sim.run()
     arrivals = dict(b.received)
     # Sent mid-partition: arrives at heal time (5.0), not 2.107.
@@ -70,11 +69,11 @@ def test_partition_preserves_fifo_order_across_heal():
 
     def send_burst():
         for i in range(3):
-            net.send(a, "b", f"m{i}", {})
+            net.send(a, "b", "note", f"m{i}")
 
     sim.schedule(2.0, send_burst)
     sim.run()
-    assert [method for method, _ in b.received] == ["m0", "m1", "m2"]
+    assert [note for note, _ in b.received] == ["m0", "m1", "m2"]
 
 
 def test_link_partition_only_affects_named_pair():
@@ -85,8 +84,8 @@ def test_link_partition_only_affects_named_pair():
     b = net.register(Echo(sim, "b", "SG"))
     c = net.register(Echo(sim, "c", "WA"))
     FaultInjector(sim, net, schedule).attach()
-    sim.schedule(1.0, lambda: net.send(a, "b", "held", {}))
-    sim.schedule(1.0, lambda: net.send(a, "c", "fine", {}))
+    sim.schedule(1.0, lambda: net.send(a, "b", "note", "held"))
+    sim.schedule(1.0, lambda: net.send(a, "c", "note", "fine"))
     sim.run()
     assert dict(b.received)["held"] == pytest.approx(5.0, abs=1e-9)
     assert dict(c.received)["fine"] < 1.2
@@ -95,7 +94,7 @@ def test_link_partition_only_affects_named_pair():
 def test_delay_storm_scales_delivery():
     schedule = FaultSchedule((delay_storm(0.0, 10.0, factor=3.0, extra=0.01),))
     sim, net, a, b, injector = build(schedule)
-    sim.schedule(1.0, lambda: net.send(a, "b", "slow", {}))
+    sim.schedule(1.0, lambda: net.send(a, "b", "note", "slow"))
     sim.run()
     assert dict(b.received)["slow"] == pytest.approx(
         1.0 + 3.0 * VA_SG_ONE_WAY + 0.01, abs=0.005
@@ -106,12 +105,12 @@ def test_loss_burst_only_adds_nonnegative_rto_multiples():
     schedule = FaultSchedule((loss_burst(0.0, 100.0, loss_rate=0.5, rto=0.2),))
     sim, net, a, b, injector = build(schedule)
     for i in range(50):
-        sim.schedule(float(i), lambda i=i: net.send(a, "b", f"m{i}", {}))
+        sim.schedule(float(i), lambda i=i: net.send(a, "b", "note", f"m{i}"))
     sim.run()
     assert len(b.received) == 50
     penalties = []
-    for method, at in b.received:
-        sent = float(method[1:])
+    for note, at in b.received:
+        sent = float(note[1:])
         # Never early, never dropped; penalty is retransmission latency
         # (possibly compounded by the per-pair FIFO floor).
         penalty = at - sent - VA_SG_ONE_WAY
@@ -121,16 +120,6 @@ def test_loss_burst_only_adds_nonnegative_rto_multiples():
     assert any(p < 0.2 for p in penalties)  # and some clean deliveries
 
 
-def test_blackhole_drops_and_counts():
-    schedule = FaultSchedule((blackhole(0.0, 5.0, src="a", dst="b"),))
-    sim, net, a, b, injector = build(schedule)
-    sim.schedule(1.0, lambda: net.send(a, "b", "gone", {}))
-    sim.schedule(6.0, lambda: net.send(a, "b", "kept", {}))
-    sim.run()
-    assert [method for method, _ in b.received] == ["kept"]
-    assert net.messages_dropped == 1
-
-
 def test_server_crash_holds_both_directions_and_stalls_cpu():
     schedule = FaultSchedule((server_crash(1.0, 3.0, "b"),))
     sim = Simulator()
@@ -138,8 +127,8 @@ def test_server_crash_holds_both_directions_and_stalls_cpu():
     a = net.register(Echo(sim, "a", "VA"))
     b = net.register(Echo(sim, "b", "SG", service_time=1e-4))
     FaultInjector(sim, net, schedule).attach()
-    sim.schedule(2.0, lambda: net.send(a, "b", "inbound", {}))
-    sim.schedule(2.0, lambda: net.send(b, "a", "outbound", {}))
+    sim.schedule(2.0, lambda: net.send(a, "b", "note", "inbound"))
+    sim.schedule(2.0, lambda: net.send(b, "a", "note", "outbound"))
     sim.run()
     # Held until recovery at t=4, then serviced after the CPU stall.
     assert dict(b.received)["inbound"] >= 4.0
@@ -195,7 +184,7 @@ def test_fault_log_is_deterministic_and_fingerprinted():
     def run_once():
         sim, net, a, b, injector = build(schedule, seed=9)
         for i in range(10):
-            sim.schedule(0.3 * i, lambda i=i: net.send(a, "b", f"m{i}", {}))
+            sim.schedule(0.3 * i, lambda i=i: net.send(a, "b", "note", f"m{i}"))
         sim.run()
         return injector
 
@@ -217,7 +206,7 @@ def test_injector_is_inert_without_active_windows():
     schedule = FaultSchedule((delay_storm(5.0, 1.0, factor=10.0),))
     sim, net, a, b, injector = build(schedule)
     assert injector.active is False
-    sim.schedule(0.5, lambda: net.send(a, "b", "early", {}))
+    sim.schedule(0.5, lambda: net.send(a, "b", "note", "early"))
     sim.run(until=2.0)
     assert dict(b.received)["early"] == pytest.approx(
         0.5 + VA_SG_ONE_WAY, abs=0.005

@@ -7,7 +7,6 @@ import pytest
 from repro.faults import (
     FaultEvent,
     FaultSchedule,
-    blackhole,
     clock_skew,
     delay_storm,
     leader_pause,
@@ -31,7 +30,6 @@ def _sample_schedule():
             server_crash(5.0, 2.0, "p0-WA"),
             leader_pause(6.0, 0.5, "p0-VA"),
             clock_skew(1.5, 4.0, "p1-PR", 0.02),
-            blackhole(7.0, 0.1, src="p0-VA"),
         )
     )
 
@@ -39,6 +37,9 @@ def _sample_schedule():
 def test_event_validation():
     with pytest.raises(ValueError):
         FaultEvent("meteor_strike", 0.0, 1.0)
+    # Message drops are no fault kind: every message arrives.
+    with pytest.raises(ValueError):
+        FaultEvent("blackhole", 0.0, 1.0)
     with pytest.raises(ValueError):
         FaultEvent("loss_burst", -1.0, 1.0)
     with pytest.raises(ValueError):
@@ -71,7 +72,7 @@ def test_schedule_without_removes_one_event():
 
 def test_schedule_horizon():
     assert FaultSchedule().horizon == 0.0
-    assert _sample_schedule().horizon == 7.1
+    assert _sample_schedule().horizon == 7.0  # server_crash(5.0, 2.0)
 
 
 def test_random_schedule_is_deterministic():
@@ -101,8 +102,6 @@ def test_random_schedule_respects_capabilities():
         "region_partition",
         "link_partition",
     }
-    # Blackholes are never generated (they hang TCP-modeled protocols).
-    assert "blackhole" not in kinds
 
 
 def test_random_schedule_windows_inside_horizon():

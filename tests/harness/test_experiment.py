@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.faults import FaultInjector, FaultSchedule, blackhole
+from repro.faults import FaultInjector, FaultSchedule, server_crash
 from repro.harness import (
     ExperimentSettings,
     PointSpec,
@@ -219,7 +219,7 @@ def test_an_idle_gap_before_after_does_not_end_the_run():
 def test_a_transaction_that_cannot_finish_runs_to_the_cap():
     sim, clients, stats = _burst(
         submit_times=(0.0,),
-        schedule=FaultSchedule((blackhole(0.0, 100.0, src="client-VA-0"),)),
+        schedule=FaultSchedule((server_crash(0.0, 100.0, "client-VA-0"),)),
     )
     assert not run_until_settled(sim, clients, after=0.0, cap=20.0)
     assert sim.now == 20.0

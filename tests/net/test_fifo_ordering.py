@@ -13,8 +13,8 @@ class Sink(Node):
         super().__init__(sim, name, dc)
         self.received = []
 
-    def handle_message(self, message):
-        self.received.append(message.payload["n"])
+    def handle_m(self, payload, src):
+        self.received.append(payload["n"])
 
 
 def build(cv=0.3, seed=0):

@@ -1,13 +1,9 @@
 """Tests for message delivery and RPC."""
 
-import gc
-import weakref
-
 import numpy as np
 import pytest
 
 from repro.cluster import Node
-from repro.faults import FaultInjector, FaultSchedule, blackhole
 from repro.net import LossConfig, Network, azure_topology
 from repro.sim import Future, Simulator
 
@@ -19,8 +15,8 @@ class Echo(Node):
         super().__init__(sim, name, dc, **kwargs)
         self.received = []
 
-    def handle_message(self, message):
-        self.received.append((message.method, message.payload, self.sim.now))
+    def handle_ping(self, payload, src):
+        self.received.append((payload, self.sim.now))
 
     def handle_echo(self, payload, src):
         return {"echoed": payload["x"], "from": src}
@@ -45,8 +41,8 @@ def test_one_way_message_delivered_after_propagation():
     net.send(a, "b", "ping", {"x": 1})
     sim.run()
     assert len(b.received) == 1
-    method, payload, at = b.received[0]
-    assert method == "ping"
+    payload, at = b.received[0]
+    assert payload == {"x": 1}
     # One-way VA->SG is 107 ms.
     assert at == pytest.approx(0.107, abs=0.005)
 
@@ -95,11 +91,11 @@ def test_service_time_delays_handling_and_queues():
     sim, net = build()
     a = net.register(Echo(sim, "a", "VA"))
     b = net.register(Echo(sim, "b", "VA", service_time=0.010))
-    net.send(a, "b", "m1", {})
-    net.send(a, "b", "m2", {})
+    net.send(a, "b", "ping", {})
+    net.send(a, "b", "ping", {})
     sim.run()
-    t1 = b.received[0][2]
-    t2 = b.received[1][2]
+    t1 = b.received[0][1]
+    t2 = b.received[1][1]
     # Second message waits for the first's service time.
     assert t2 - t1 == pytest.approx(0.010, abs=1e-6)
 
@@ -115,9 +111,9 @@ def test_loss_inflates_latency_tail():
     a = net.register(Echo(sim, "a", "VA"))
     b = net.register(Echo(sim, "b", "WA"))
     for i in range(200):
-        net.send(a, "b", f"m{i}", {})
+        net.send(a, "b", "ping", {})
     sim.run()
-    times = [at for _, _, at in b.received]
+    times = [at for _, at in b.received]
     # With 30% loss some messages must have paid at least one RTO.
     assert max(times) > 0.2
 
@@ -130,10 +126,10 @@ def test_bandwidth_pipe_serializes_large_messages():
     a = net.register(Echo(sim, "a", "VA"))
     b = net.register(Echo(sim, "b", "WA"))
     big = {"data": "x" * 500}
-    net.send(a, "b", "m1", dict(big))
-    net.send(a, "b", "m2", dict(big))
+    net.send(a, "b", "ping", dict(big))
+    net.send(a, "b", "ping", dict(big))
     sim.run()
-    t1, t2 = b.received[0][2], b.received[1][2]
+    t1, t2 = b.received[0][1], b.received[1][1]
     # Transmission time of one message is ~62 ms at 10 KB/s.
     assert t2 - t1 > 0.05
 
@@ -142,32 +138,19 @@ def test_network_counts_traffic():
     sim, net = build()
     a = net.register(Echo(sim, "a", "VA"))
     net.register(Echo(sim, "b", "WA"))
-    net.send(a, "b", "x", {"k": "v"})
+    net.send(a, "b", "ping", {"k": "v"})
     sim.run()
     assert net.messages_sent == 1
     assert net.bytes_sent > 100  # header alone is 120 bytes
 
 
-def test_blackholed_call_leaves_nothing_behind():
+def test_a_method_without_a_handler_fails_the_run():
     sim, net = build()
     a = net.register(Echo(sim, "a", "VA"))
     net.register(Echo(sim, "b", "WA"))
-    FaultInjector(sim, net, FaultSchedule((blackhole(0.0, 1.0),))).attach()
-
-    class Token:
-        pass
-
-    token = Token()
-    alive = weakref.ref(token)
-    future = net.call(a, "b", "echo", {"x": 1})
-    # Only the future references the token, so the token outlives this
-    # test's own references iff something still holds the future.
-    future.add_done_callback(lambda _f, _t=token: None)
-    del future, token
-    sim.run()
-    gc.collect()
-    assert net.messages_dropped == 1
-    assert alive() is None
+    net.send(a, "b", "unknown", {})
+    with pytest.raises(AttributeError, match="handle_unknown"):
+        sim.run()
 
 
 def test_reply_to_an_already_resolved_future_is_ignored():
@@ -210,9 +193,9 @@ def test_fifo_floor_holds_under_a_fault_floor():
     one_way = 0.067 / 2
     net.set_faults(ScriptedFaults([(1.0, 0.0), (0.0, 0.5), (0.0, 2.0)]))
     for name in ("m1", "m2", "m3"):
-        net.send(a, "b", name, {})
+        net.send(a, "b", "ping", {"m": name})
     sim.run()
-    got = [(method, at) for method, _, at in b.received]
+    got = [(payload["m"], at) for payload, at in b.received]
     assert [method for method, _ in got] == ["m1", "m2", "m3"]
     # m2's fault floor (0.5 s) is below m1's arrival, so the link's FIFO
     # floor holds it behind m1; m3's fault floor is above both.

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Node
-from repro.faults import FaultInjector, FaultSchedule, blackhole, server_crash
+from repro.faults import FaultInjector, FaultSchedule, server_crash
 from repro.net import Network, azure_topology
 from repro.net.delay import ParetoDelay
 from repro.net.probing import ClientDelayView, ProbeProxy, ProbeTargetMixin
@@ -75,18 +75,6 @@ def test_a_refresh_before_the_arrival_instant_misses_the_reply():
     assert view.estimate("s") is None
     sim.run(until=REPLY_ARRIVAL)
     assert view.estimate("s") == ONE_WAY
-
-
-@pytest.mark.parametrize("src, dst", [("proxy-VA", "s"), ("s", "proxy-VA")])
-def test_a_blackholed_probe_lands_nothing(src, dst):
-    sim, net, proxy = build()
-    FaultInjector(
-        sim, net, FaultSchedule([blackhole(0.0, 0.5, src=src, dst=dst)])
-    ).attach()
-    sim.post(0.0, proxy.start)  # after the blackhole opens at 0
-    sim.run(until=0.75)
-    assert net.messages_dropped == 1
-    assert proxy.estimate("s") is None
 
 
 def test_a_held_reply_lands_at_its_held_arrival():

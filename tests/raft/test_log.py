@@ -24,43 +24,53 @@ def test_append_assigns_sequential_indexes():
     assert log.entry_at(2).payload == "b"
 
 
-def test_matches_consistency_check():
+def test_append_at_extends_the_tail():
     log = RaftLog()
+    assert log.append_at(0, 0, [LogEntry(1, "a"), LogEntry(1, "b")]) == 2
+    assert log.append_at(2, 1, [LogEntry(1, "c")]) == 3
+    assert [e.payload for e in log.entries_from(1)] == ["a", "b", "c"]
+
+
+def test_append_at_with_no_entries_is_the_consistency_check():
+    log = RaftLog()
+    assert log.append_at(0, 0, ()) == 0
     log.append(LogEntry(1, "a"))
-    assert log.matches(0, 0)
-    assert log.matches(1, 1)
-    assert not log.matches(1, 2)
-    assert not log.matches(2, 1)
+    assert log.append_at(1, 1, ()) == 1
+    with pytest.raises(RuntimeError):
+        log.append_at(1, 2, ())
+    with pytest.raises(RuntimeError):
+        log.append_at(0, 0, ())
 
 
-def test_append_from_leader_success():
+def test_append_at_past_the_tail_raises():
     log = RaftLog()
-    ok = log.append_from_leader(0, 0, [LogEntry(1, "a"), LogEntry(1, "b")])
-    assert ok
-    assert log.last_index == 2
-
-
-def test_append_from_leader_rejects_gap():
-    log = RaftLog()
-    assert not log.append_from_leader(3, 1, [LogEntry(1, "x")])
+    with pytest.raises(RuntimeError, match="lost or reordered"):
+        log.append_at(3, 1, [LogEntry(1, "x")])
     assert log.last_index == 0
 
 
-def test_conflicting_suffix_is_truncated():
+def test_append_at_inside_the_log_raises_instead_of_truncating():
     log = RaftLog()
-    log.append_from_leader(0, 0, [LogEntry(1, "a"), LogEntry(1, "b")])
-    # New leader in term 2 overwrites index 2.
-    ok = log.append_from_leader(1, 1, [LogEntry(2, "c"), LogEntry(2, "d")])
-    assert ok
-    assert [e.payload for e in log.snapshot()] == ["a", "c", "d"]
-    assert [e.term for e in log.snapshot()] == [1, 2, 2]
+    log.append_at(0, 0, [LogEntry(1, "a"), LogEntry(1, "b")])
+    with pytest.raises(RuntimeError):
+        log.append_at(1, 1, [LogEntry(2, "c"), LogEntry(2, "d")])
+    assert [e.payload for e in log.entries_from(1)] == ["a", "b"]
 
 
-def test_duplicate_entries_are_idempotent():
+def test_append_at_with_the_wrong_prev_term_raises():
+    log = RaftLog()
+    log.append_at(0, 0, [LogEntry(1, "a")])
+    with pytest.raises(RuntimeError):
+        log.append_at(1, 2, [LogEntry(2, "b")])
+    assert log.last_index == 1
+
+
+def test_a_retransmitted_append_raises():
     log = RaftLog()
     entries = [LogEntry(1, "a"), LogEntry(1, "b")]
-    log.append_from_leader(0, 0, entries)
-    log.append_from_leader(0, 0, entries)  # retransmission
+    log.append_at(0, 0, entries)
+    with pytest.raises(RuntimeError):
+        log.append_at(0, 0, entries)
     assert log.last_index == 2
 
 
@@ -80,8 +90,8 @@ def test_terms_are_monotonic_after_leader_appends(terms):
     for term in terms:
         current = max(current, term)
         log.append(LogEntry(current, None))
-    snapshot = [e.term for e in log.snapshot()]
-    assert snapshot == sorted(snapshot)
+    logged = [e.term for e in log.entries_from(1)]
+    assert logged == sorted(logged)
 
 
 #: Entry payloads of every shape ``estimate_size`` distinguishes.

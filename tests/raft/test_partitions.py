@@ -1,30 +1,35 @@
-"""Raft under network partitions (fault injection).
+"""Raft under network partitions and crashes (fault injection).
 
 The paper's experiments run failure-free, and the leader is fixed: no
-partition deposes it.  These tests exercise what a partition can still
-do to a group: stall commits while the leader has no majority, and
-leave a replica behind, to be repaired by ``next_index`` back-off once
-the partition heals.
+partition deposes it.  Partitions and crashes hold messages until they
+heal, as a retrying transport would, so every message still arrives
+once and in send order.  These tests exercise what a fault can still do
+to a group: stall commits while the leader has no majority, and leave a
+follower behind until the entries held for it arrive at the heal.
 
-A partition is a fault schedule that blackholes every message to and
-from the isolated node.  The schedule is attached before the simulation
-reaches its start: attached at the current instant, its window opens
-only at the next ``sim.run``, and a proposal made in between escapes it.
+The schedule is attached before the simulation reaches its start:
+attached at the current instant, its window opens only at the next
+``sim.run``, and a proposal made in between escapes it.
 """
 
 from repro.cluster.placement import PartitionPlacement
-from repro.faults import FaultInjector, FaultSchedule, blackhole
+from repro.faults import (
+    FaultInjector,
+    FaultSchedule,
+    region_partition,
+    server_crash,
+)
 from repro.net import Network, local_cluster_topology
 from repro.raft import ReplicationGroup, Role
 from repro.sim import Simulator
+
+DATACENTERS = ("DC1", "DC2", "DC3")
 
 
 def build():
     sim = Simulator()
     net = Network(sim, local_cluster_topology())
-    group = ReplicationGroup(
-        sim, net, PartitionPlacement(0, ("DC1", "DC2", "DC3"))
-    )
+    group = ReplicationGroup(sim, net, PartitionPlacement(0, DATACENTERS))
     return sim, net, group
 
 
@@ -37,51 +42,41 @@ def settle(sim, until):
 
 
 def isolate(sim, net, node, start, end):
-    """Drop every message to or from ``node`` from ``start`` to ``end``."""
-    duration = end - start
-    schedule = FaultSchedule((
-        blackhole(start, duration, node.name, "*"),
-        blackhole(start, duration, "*", node.name),
-    ))
+    """Hold every message between ``node``'s datacenter and the others
+    from ``start`` to ``end``."""
+    others = [dc for dc in DATACENTERS if dc != node.datacenter]
+    schedule = FaultSchedule(
+        (region_partition(start, end - start, [node.datacenter], others),)
+    )
     FaultInjector(sim, net, schedule).attach()
 
 
 def payloads(replica):
-    return [entry.payload for entry in replica.log.snapshot()]
+    return [entry.payload for entry in replica.log.entries_from(1)]
 
 
-def test_isolated_follower_catches_up_by_back_off_after_heal():
+def test_crashed_follower_ends_with_the_leaders_log_after_recovery():
     sim, net, group = build()
     leader = group.leader
     follower = group.replicas[1]
-    refusals = []
-    handle_response = leader.handle_append_entries_response
-
-    def record(payload, src):
-        if not payload.success:
-            refusals.append(src)
-        handle_response(payload, src)
-
-    leader.handle_append_entries_response = record
     for op in ("a", "b"):
-        group.leader.propose(op)
+        leader.propose(op)
     settle(sim, 1.0)
     assert payloads(follower) == ["a", "b"]
 
-    isolate(sim, net, follower, 1.0, 4.0)
+    FaultInjector(
+        sim, net, FaultSchedule((server_crash(1.0, 3.0, follower.name),))
+    ).attach()
     settle(sim, 1.0)
-    during = [group.leader.propose(op) for op in ("c", "d", "e")]
-    settle(sim, 4.0)
+    during = [leader.propose(op) for op in ("c", "d", "e")]
+    settle(sim, 3.9)
     # The other follower makes a majority: the leader commits without it.
     assert all(future.done for future in during)
     assert payloads(follower) == ["a", "b"]
-    assert refusals == []
 
     settle(sim, 6.0)
-    # The entries shipped into the partition were lost, so the first
-    # AppendEntries after the heal fails its consistency check, and the
-    # leader backs off until the follower's log matches.
-    assert follower.name in refusals
+    # The entries held for the follower arrive at recovery, in order,
+    # and extend its log at the tail.
     assert payloads(follower) == payloads(leader) == ["a", "b", "c", "d", "e"]
     assert follower.commit_index == leader.commit_index == 5
     assert leader.role is Role.LEADER
@@ -114,6 +109,11 @@ def test_no_commit_possible_without_majority():
     isolate(sim, net, leader, 3.0, 8.0)
     settle(sim, 3.0)
     stranded = leader.propose("no-quorum")
+    settle(sim, 7.9)
+    # The followers have not seen the entry: it is held until the heal.
+    for replica in group.replicas:
+        if replica is not leader:
+            assert payloads(replica) == []
     settle(sim, 8.0)
     assert not stranded.done
 

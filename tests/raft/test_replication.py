@@ -77,9 +77,9 @@ def test_follower_logs_converge_to_leader_log():
     for op in range(5):
         group.leader.propose(op)
     sim.run(until=2.0)
-    leader_log = group.leader.log.snapshot()
+    leader_log = group.leader.log.entries_from(1)
     for replica in group.replicas:
-        assert replica.log.snapshot() == leader_log
+        assert replica.log.entries_from(1) == leader_log
         assert replica.commit_index == 5
 
 
@@ -88,9 +88,9 @@ def test_followers_append_the_leaders_entry_objects():
     for op in range(5):
         group.leader.propose(op)
     sim.run(until=2.0)
-    leader_log = group.leader.log.snapshot()
+    leader_log = group.leader.log.entries_from(1)
     for replica in group.replicas:
-        follower_log = replica.log.snapshot()
+        follower_log = replica.log.entries_from(1)
         assert len(follower_log) == len(leader_log)
         assert all(a is b for a, b in zip(follower_log, leader_log))
 

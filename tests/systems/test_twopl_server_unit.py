@@ -20,9 +20,6 @@ class Recorder(Node):
     def handle_vote(self, payload, src):
         self.events.append(("vote", payload))
 
-    def handle_message(self, message):
-        self.events.append((message.method, message.payload))
-
     def of_kind(self, kind):
         return [p for k, p in self.events if k == kind]
 

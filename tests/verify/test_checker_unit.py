@@ -12,7 +12,9 @@ from repro.verify.history import INITIAL, find_cycle, writer_of_value
 
 
 def make_store():
-    return KeyValueStore(record_history=True)
+    store = KeyValueStore()
+    store.record_history = True
+    return store
 
 
 def test_writer_of_value_parses_tags():

@@ -55,7 +55,8 @@ class FakeSystem:
 
 def _store(chains):
     """A history-recording store holding the given {key: [writer]} chains."""
-    store = KeyValueStore(record_history=True)
+    store = KeyValueStore()
+    store.record_history = True
     for key, writers in chains.items():
         for writer in writers:
             store.apply(key, f"{writer.rsplit('.', 1)[0]}@{key}", writer)
